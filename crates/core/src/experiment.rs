@@ -7,7 +7,7 @@
 use crate::model::PerformanceModel;
 use crate::system::{RunResult, SystemConfig};
 use s64v_stats::Ratio;
-use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
+use s64v_workloads::{Suite, SuiteKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -108,10 +108,6 @@ impl SuiteResult {
     }
 }
 
-/// Default number of functional warm-up records preceding the timed
-/// window (the paper traces steady state, §2.2).
-pub const DEFAULT_WARMUP: usize = 2_000_000;
-
 /// Simulates every program of `kind` on `config`: each program's trace
 /// has `warmup` warm-up records followed by `records` timed records,
 /// generated from `seed`.
@@ -135,36 +131,6 @@ pub fn run_suite_warm(
         label: kind.label().to_string(),
         programs,
     }
-}
-
-/// [`run_suite_warm`] with the default warm-up length.
-pub fn run_suite(config: &SystemConfig, kind: SuiteKind, records: usize, seed: u64) -> SuiteResult {
-    run_suite_warm(config, kind, records, DEFAULT_WARMUP, seed)
-}
-
-/// Simulates the TPC-C SMP model: `cpus` trace streams over a shared
-/// memory system (the paper's "TPC-C (16P)").
-pub fn run_tpcc_smp_warm(
-    config: &SystemConfig,
-    records_per_cpu: usize,
-    warmup: usize,
-    seed: u64,
-) -> SuiteResult {
-    assert!(config.cpus > 1, "use run_suite for the uniprocessor TPC-C");
-    let traces = smp_traces(&tpcc_program(), config.cpus, records_per_cpu + warmup, seed);
-    let result = PerformanceModel::new(config.clone()).run_traces_warm(&traces, warmup);
-    SuiteResult {
-        label: format!("TPC-C({}P)", config.cpus),
-        programs: vec![ProgramResult {
-            name: "tpcc-smp".to_string(),
-            result,
-        }],
-    }
-}
-
-/// [`run_tpcc_smp_warm`] with the default warm-up length.
-pub fn run_tpcc_smp(config: &SystemConfig, records_per_cpu: usize, seed: u64) -> SuiteResult {
-    run_tpcc_smp_warm(config, records_per_cpu, DEFAULT_WARMUP, seed)
 }
 
 /// The trace seed [`run_suite_warm`] derives for one program: the base
@@ -203,13 +169,5 @@ mod tests {
         assert!(r.ipc() > 0.0);
         assert!(r.mispredict().denominator() > 0);
         assert!(r.l1d_miss().denominator() > 0);
-    }
-
-    #[test]
-    fn smp_run_labels_cpu_count() {
-        let r = run_tpcc_smp_warm(&SystemConfig::smp(2), 3_000, 2_000, 3);
-        assert_eq!(r.label, "TPC-C(2P)");
-        assert_eq!(r.programs.len(), 1);
-        assert!(r.ipc() > 0.0);
     }
 }

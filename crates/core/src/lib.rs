@@ -48,10 +48,7 @@ pub mod versions;
 
 pub use breakdown::{characterize, characterize_warm, Breakdown};
 pub use cost::{area_mm2, CostEstimate};
-pub use experiment::{
-    program_seed, run_suite, run_suite_warm, run_tpcc_smp, run_tpcc_smp_warm, ProgramResult,
-    SuiteResult,
-};
+pub use experiment::{program_seed, run_suite_warm, ProgramResult, SuiteResult};
 pub use faultinject::{ChaosPlan, FaultClass, FaultPlan, HarnessFaultClass};
 pub use fingerprint::{config_fingerprint, Fingerprint, StableHasher, MODEL_FINGERPRINT_VERSION};
 pub use integrity::{Auditor, Component, SimError};

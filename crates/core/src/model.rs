@@ -7,7 +7,7 @@ use crate::system::{RunResult, SystemConfig};
 use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
 use s64v_observe::RunObservation;
-use s64v_trace::{SamplePlan, SliceStream, TraceStream, VecTrace};
+use s64v_trace::{SliceStream, TraceRecord, TraceStream, VecTrace};
 
 /// Cooperative supervision of one run: a simulated-cycle ceiling and an
 /// external cancellation flag, both polled from inside the cycle loop.
@@ -258,84 +258,48 @@ impl PerformanceModel {
         &self.config
     }
 
-    /// Runs a single trace on a uniprocessor instance of the system.
+    /// Runs one record stream per CPU, lock-stepped cycle by cycle over
+    /// the shared memory system — the single entry point every other run
+    /// method forwards to.
+    ///
+    /// The first `warmup` records of every stream functionally warm the
+    /// caches, TLBs and branch predictors (interleaved across CPUs so
+    /// shared lines end in a realistic mixed state; the paper traces
+    /// workloads at steady state, §2.2); only the remainder is timed. The
+    /// run ends when every CPU has drained; CPUs that finish early sit
+    /// idle (their commit counts still contribute). A sampled window is
+    /// the slice `records[start - warm..start + len]` with warm-up `warm`.
+    ///
+    /// With `observe`, probes attach *after* the warm-up and the returned
+    /// [`RunObservation`] holds the structured events, interval metrics
+    /// and instruction timelines of the timed execution; without it the
+    /// observation is empty. Observation is read-only: the [`RunResult`]
+    /// is byte-identical either way. See [`RunOptions`] for checked mode,
+    /// fault injection and supervision budgets.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has more than one CPU (use
-    /// [`PerformanceModel::run_traces`]).
-    pub fn run_trace(&self, trace: &VecTrace) -> RunResult {
-        assert_eq!(self.config.cpus, 1, "run_trace is for uniprocessor configs");
-        self.run_traces(std::slice::from_ref(trace))
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_trace`]: a wedged
-    /// pipeline or (in checked mode) an invariant violation is returned as
-    /// a structured [`SimError`] instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (non-uniprocessor config), never on a
-    /// simulation fault.
-    pub fn try_run_trace(&self, trace: &VecTrace, opts: RunOptions) -> Result<RunResult, SimError> {
-        assert_eq!(self.config.cpus, 1, "run_trace is for uniprocessor configs");
-        self.try_run_traces(std::slice::from_ref(trace), opts)
-    }
-
-    /// Runs one trace per CPU, lock-stepped cycle by cycle over the shared
-    /// memory system. The run ends when every CPU has drained; CPUs that
-    /// finish early sit idle (their commit counts still contribute).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly `cpus` traces are supplied.
-    pub fn run_traces(&self, traces: &[VecTrace]) -> RunResult {
-        self.try_run_traces(traces, RunOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_traces`]; see
-    /// [`RunOptions`] for checked mode and fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (trace count mismatch), never on a
-    /// simulation fault.
-    pub fn try_run_traces(
+    /// Panics on contract misuse (stream count other than the CPU count,
+    /// warm-up not shorter than every stream), never on a simulation
+    /// fault — a wedged pipeline or (in checked mode) an invariant
+    /// violation is returned as a structured [`SimError`].
+    pub fn try_run<R: AsRef<[TraceRecord]>>(
         &self,
-        traces: &[VecTrace],
+        traces: &[R],
+        warmup: usize,
         opts: RunOptions,
-    ) -> Result<RunResult, SimError> {
-        assert_eq!(
-            traces.len(),
-            self.config.cpus,
-            "need one trace per CPU ({} != {})",
-            traces.len(),
-            self.config.cpus
-        );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
-        let mut cores: Vec<Core> = (0..self.config.cpus)
-            .map(|i| Core::new(self.config.core.clone(), i))
-            .collect();
-        let mut streams: Vec<SliceStream<'_>> = traces.iter().map(|t| t.stream()).collect();
-        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, None)?;
-        Ok(collect_result(cycles, &cores, &mem))
+        observe: Option<ObserveConfig>,
+    ) -> Result<(RunResult, RunObservation), SimError> {
+        let records: Vec<&[TraceRecord]> = traces.iter().map(AsRef::as_ref).collect();
+        self.run(&records, warmup, opts, observe)
     }
 
-    /// Observed variant of [`PerformanceModel::try_run_traces`]: records
-    /// structured events, interval metrics and instruction timelines per
-    /// `ocfg` and returns them alongside the result. The [`RunResult`] is
-    /// byte-identical to an unobserved run — observation is read-only.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (trace count mismatch), never on a
-    /// simulation fault.
-    pub fn try_run_traces_observed(
+    fn run(
         &self,
-        traces: &[VecTrace],
+        traces: &[&[TraceRecord]],
+        warmup: usize,
         opts: RunOptions,
-        ocfg: ObserveConfig,
+        observe: Option<ObserveConfig>,
     ) -> Result<(RunResult, RunObservation), SimError> {
         assert_eq!(
             traces.len(),
@@ -344,102 +308,6 @@ impl PerformanceModel {
             traces.len(),
             self.config.cpus
         );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
-        let mut cores: Vec<Core> = (0..self.config.cpus)
-            .map(|i| Core::new(self.config.core.clone(), i))
-            .collect();
-        let mut observer = Observer::new(ocfg, &mut cores, &mut mem);
-        let mut streams: Vec<SliceStream<'_>> = traces.iter().map(|t| t.stream()).collect();
-        let cycles = drive(
-            &mut cores,
-            &mut mem,
-            &mut streams,
-            opts,
-            Some(&mut observer),
-        )?;
-        observer.finish(cycles, &cores, &mem);
-        let result = collect_result(cycles, &cores, &mem);
-        let observation = observer.collect(&mut cores, &mut mem);
-        Ok((result, observation))
-    }
-
-    /// Uniprocessor convenience over
-    /// [`PerformanceModel::try_run_traces_observed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has more than one CPU or the run wedges.
-    pub fn run_trace_observed(
-        &self,
-        trace: &VecTrace,
-        ocfg: ObserveConfig,
-    ) -> (RunResult, RunObservation) {
-        assert_eq!(self.config.cpus, 1, "run_trace_observed is for UP configs");
-        self.try_run_traces_observed(std::slice::from_ref(trace), RunOptions::default(), ocfg)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs a single trace on a uniprocessor system, using the first
-    /// `warmup` records for functional cache/predictor warming and timing
-    /// only the remainder (the paper traces workloads at steady state,
-    /// §2.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup >= trace.len()` or the config is not UP.
-    pub fn run_trace_warm(&self, trace: &VecTrace, warmup: usize) -> RunResult {
-        assert_eq!(
-            self.config.cpus, 1,
-            "run_trace_warm is for uniprocessor configs"
-        );
-        self.run_traces_warm(std::slice::from_ref(trace), warmup)
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_trace_warm`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (non-UP config, warm-up longer than the
-    /// trace), never on a simulation fault.
-    pub fn try_run_trace_warm(
-        &self,
-        trace: &VecTrace,
-        warmup: usize,
-        opts: RunOptions,
-    ) -> Result<RunResult, SimError> {
-        assert_eq!(
-            self.config.cpus, 1,
-            "run_trace_warm is for uniprocessor configs"
-        );
-        self.try_run_traces_warm(std::slice::from_ref(trace), warmup, opts)
-    }
-
-    /// SMP variant of [`PerformanceModel::run_trace_warm`]: warms each CPU
-    /// on its first `warmup` records (interleaved across CPUs so shared
-    /// lines end in a realistic mixed state), then times the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless every trace is longer than `warmup`.
-    pub fn run_traces_warm(&self, traces: &[VecTrace], warmup: usize) -> RunResult {
-        self.try_run_traces_warm(traces, warmup, RunOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_traces_warm`]; see
-    /// [`RunOptions`] for checked mode and fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (trace count mismatch, warm-up longer
-    /// than a trace), never on a simulation fault.
-    pub fn try_run_traces_warm(
-        &self,
-        traces: &[VecTrace],
-        warmup: usize,
-        opts: RunOptions,
-    ) -> Result<RunResult, SimError> {
-        assert_eq!(traces.len(), self.config.cpus, "need one trace per CPU");
         assert!(
             traces.iter().all(|t| t.len() > warmup),
             "warmup must leave records to time"
@@ -454,202 +322,67 @@ impl PerformanceModel {
         let mut pos = 0;
         while pos < warmup {
             let end = (pos + chunk).min(warmup);
-            for (i, core) in cores.iter_mut().enumerate() {
-                for rec in &traces[i].records()[pos..end] {
+            for (core, trace) in cores.iter_mut().zip(traces) {
+                for rec in &trace[pos..end] {
                     core.warm(&mut mem, rec);
                 }
             }
             pos = end;
         }
 
+        let mut observer = observe.map(|ocfg| Observer::new(ocfg, &mut cores, &mut mem));
         let mut streams: Vec<SliceStream<'_>> = traces
             .iter()
-            .map(|t| SliceStream::new(&t.records()[warmup..]))
+            .map(|t| SliceStream::new(&t[warmup..]))
             .collect();
-        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, None)?;
-        Ok(collect_result(cycles, &cores, &mem))
+        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, observer.as_mut())?;
+        let result = collect_result(cycles, &cores, &mem);
+        let observation = match observer {
+            Some(mut o) => {
+                o.finish(cycles, &cores, &mem);
+                o.collect(&mut cores, &mut mem)
+            }
+            None => RunObservation::default(),
+        };
+        Ok((result, observation))
     }
 
-    /// Observed variant of [`PerformanceModel::try_run_traces_warm`]:
-    /// probes attach *after* the warm-up, so only timed execution is
-    /// narrated.
+    /// [`PerformanceModel::try_run`] over one trace per CPU, unobserved.
     ///
     /// # Panics
     ///
     /// Panics on contract misuse (trace count mismatch, warm-up longer
     /// than a trace), never on a simulation fault.
-    pub fn try_run_traces_warm_observed(
+    pub fn try_run_traces_warm(
         &self,
         traces: &[VecTrace],
         warmup: usize,
         opts: RunOptions,
-        ocfg: ObserveConfig,
-    ) -> Result<(RunResult, RunObservation), SimError> {
-        assert_eq!(traces.len(), self.config.cpus, "need one trace per CPU");
-        assert!(
-            traces.iter().all(|t| t.len() > warmup),
-            "warmup must leave records to time"
-        );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
-        let mut cores: Vec<Core> = (0..self.config.cpus)
-            .map(|i| Core::new(self.config.core.clone(), i))
-            .collect();
-
-        let chunk = 1024;
-        let mut pos = 0;
-        while pos < warmup {
-            let end = (pos + chunk).min(warmup);
-            for (i, core) in cores.iter_mut().enumerate() {
-                for rec in &traces[i].records()[pos..end] {
-                    core.warm(&mut mem, rec);
-                }
-            }
-            pos = end;
-        }
-
-        let mut observer = Observer::new(ocfg, &mut cores, &mut mem);
-        let mut streams: Vec<SliceStream<'_>> = traces
-            .iter()
-            .map(|t| SliceStream::new(&t.records()[warmup..]))
-            .collect();
-        let cycles = drive(
-            &mut cores,
-            &mut mem,
-            &mut streams,
-            opts,
-            Some(&mut observer),
-        )?;
-        observer.finish(cycles, &cores, &mem);
-        let result = collect_result(cycles, &cores, &mem);
-        let observation = observer.collect(&mut cores, &mut mem);
-        Ok((result, observation))
-    }
-
-    /// Sampled simulation (§2.2: the paper samples its TPC-C captures):
-    /// runs several timed windows from one long trace, functionally
-    /// warming through everything in between, and merges the results.
-    ///
-    /// `windows` are `(start, len)` record ranges in ascending,
-    /// non-overlapping order; everything outside them is warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an SMP config, empty/overlapping/out-of-range windows.
-    pub fn run_trace_sampled(&self, trace: &VecTrace, windows: &[(usize, usize)]) -> RunResult {
-        assert_eq!(self.config.cpus, 1, "sampled runs are uniprocessor");
-        assert!(!windows.is_empty(), "need at least one window");
-        let mut mem = MemorySystem::new(self.config.mem.clone(), 1);
-        let mut core = Core::new(self.config.core.clone(), 0);
-
-        let mut pos = 0usize;
-        let mut cursor = 0u64;
-        let records = trace.records();
-        for &(start, len) in windows {
-            assert!(start >= pos, "windows must be ascending and disjoint");
-            assert!(start + len <= records.len(), "window exceeds the trace");
-            assert!(len > 0, "empty window");
-            // Functionally warm through the gap (predictor and caches keep
-            // evolving, no cycles are charged).
-            for rec in &records[pos..start] {
-                core.warm(&mut mem, rec);
-            }
-            // Time the window; the cycle cursor keeps the shared memory
-            // system's resource reservations monotonic across windows.
-            let mut stream = SliceStream::new(&records[start..start + len]);
-            cursor = core.run_from(&mut mem, &mut stream, cursor);
-            pos = start + len;
-        }
-
-        RunResult {
-            cycles: core.stats().cycles.get(),
-            committed: core.stats().committed.get(),
-            core_stats: vec![core.stats().clone()],
-            mem_stats: vec![mem.stats(0).clone()],
-            bus_transactions: mem.bus().transactions(),
-            bus_busy_cycles: mem.bus().busy_cycles(),
-        }
-    }
-
-    /// Simulates one detailed window of a long trace in isolation
-    /// (SMARTS-style *limited* warming): functionally fast-forwards the
-    /// `warm` records immediately preceding `start` (anything earlier is
-    /// skipped cold — warming is bounded, so the per-window cost is
-    /// O(warm + len) regardless of where the window sits), then times
-    /// exactly `[start, start + len)` on a fresh core and memory system.
-    /// Windows are fully independent of one another, which is what lets
-    /// the harness fingerprint, cache and parallelize them as ordinary
-    /// campaign points.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (non-UP config, empty or out-of-range
-    /// window), never on a simulation fault.
-    pub fn try_run_trace_window(
-        &self,
-        trace: &VecTrace,
-        start: usize,
-        len: usize,
-        warm: usize,
-        opts: RunOptions,
     ) -> Result<RunResult, SimError> {
-        assert_eq!(self.config.cpus, 1, "sampled windows are uniprocessor");
-        let records = trace.records();
-        assert!(len > 0, "empty window");
-        assert!(start + len <= records.len(), "window exceeds the trace");
-        let mut mem = MemorySystem::new(self.config.mem.clone(), 1);
-        let mut core = Core::new(self.config.core.clone(), 0);
-        let warm_from = start.saturating_sub(warm);
-        let mut warm_stream = SliceStream::new(&records[warm_from..start]);
-        core.fast_forward(&mut mem, &mut warm_stream, (start - warm_from) as u64);
-        let mut streams = [SliceStream::new(&records[start..start + len])];
-        let mut cores = [core];
-        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, None)?;
-        Ok(collect_result(cycles, &cores, &mem))
+        self.try_run(traces, warmup, opts, None).map(|(r, _)| r)
     }
 
-    /// Runs every detailed window of `plan` over `trace` independently
-    /// (each via [`PerformanceModel::try_run_trace_window`]) and returns
-    /// the per-window results in window order. This is the sequential
-    /// reference form of sampled simulation; the harness distributes the
-    /// same windows across its worker pool instead.
-    pub fn try_run_trace_plan(
-        &self,
-        trace: &VecTrace,
-        plan: &SamplePlan,
-        opts: RunOptions,
-    ) -> Result<Vec<RunResult>, SimError> {
-        plan.windows(trace.len() as u64)
-            .into_iter()
-            .map(|(start, len)| {
-                self.try_run_trace_window(
-                    trace,
-                    start as usize,
-                    len as usize,
-                    plan.warmup as usize,
-                    opts.clone(),
-                )
-            })
-            .collect()
+    /// Runs a single trace on a uniprocessor instance of the system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has more than one CPU, the trace is
+    /// empty, or the run wedges.
+    pub fn run_trace(&self, trace: &VecTrace) -> RunResult {
+        self.run_trace_warm(trace, 0)
     }
 
-    /// Runs an arbitrary stream on a uniprocessor instance (for generated
-    /// streams that are never materialized).
-    pub fn run_stream<S: TraceStream>(&self, mut stream: S) -> RunResult {
-        assert_eq!(
-            self.config.cpus, 1,
-            "run_stream is for uniprocessor configs"
-        );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), 1);
-        let mut core = Core::new(self.config.core.clone(), 0);
-        let cycles = core.run(&mut mem, &mut stream);
-        RunResult {
-            cycles,
-            committed: core.stats().committed.get(),
-            core_stats: vec![core.stats().clone()],
-            mem_stats: vec![mem.stats(0).clone()],
-            bus_transactions: mem.bus().transactions(),
-            bus_busy_cycles: mem.bus().busy_cycles(),
-        }
+    /// Runs a single trace on a uniprocessor system, using the first
+    /// `warmup` records for functional cache/predictor warming and timing
+    /// only the remainder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warmup >= trace.len()`, the config is not UP, or the
+    /// run wedges.
+    pub fn run_trace_warm(&self, trace: &VecTrace, warmup: usize) -> RunResult {
+        self.try_run_traces_warm(std::slice::from_ref(trace), warmup, RunOptions::default())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -671,7 +404,9 @@ mod tests {
     #[test]
     fn smp_run_commits_all_streams() {
         let traces = smp_traces(&tpcc_program(), 2, 30_000, 3);
-        let r = PerformanceModel::new(SystemConfig::smp(2)).run_traces(&traces);
+        let r = PerformanceModel::new(SystemConfig::smp(2))
+            .try_run_traces_warm(&traces, 0, RunOptions::default())
+            .unwrap();
         assert_eq!(r.committed, 60_000);
         assert_eq!(r.core_stats.len(), 2);
         let invalidations: u64 = r
@@ -702,8 +437,8 @@ mod tests {
         let t = suite.programs()[0].generate(8_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
         let plain = model.run_trace(&t);
-        let checked = model
-            .try_run_trace(&t, RunOptions::checked())
+        let (checked, _) = model
+            .try_run(&[&t], 0, RunOptions::checked(), None)
             .expect("no invariant fires on an unfaulted run");
         assert_eq!(plain.cycles, checked.cycles);
         assert_eq!(plain.committed, checked.committed);
@@ -713,9 +448,11 @@ mod tests {
     fn checked_smp_run_is_clean_too() {
         let traces = smp_traces(&tpcc_program(), 2, 10_000, 3);
         let model = PerformanceModel::new(SystemConfig::smp(2));
-        let plain = model.run_traces(&traces);
+        let plain = model
+            .try_run_traces_warm(&traces, 0, RunOptions::default())
+            .unwrap();
         let checked = model
-            .try_run_traces(&traces, RunOptions::checked())
+            .try_run_traces_warm(&traces, 0, RunOptions::checked())
             .expect("no invariant fires on an unfaulted SMP run");
         assert_eq!(plain.cycles, checked.cycles);
         assert_eq!(plain.committed, checked.committed);
@@ -725,7 +462,11 @@ mod tests {
     #[should_panic(expected = "one trace per CPU")]
     fn trace_count_is_validated() {
         let traces = smp_traces(&tpcc_program(), 2, 100, 3);
-        let _ = PerformanceModel::new(SystemConfig::smp(4)).run_traces(&traces);
+        let _ = PerformanceModel::new(SystemConfig::smp(4)).try_run_traces_warm(
+            &traces,
+            0,
+            RunOptions::default(),
+        );
     }
 }
 
@@ -734,14 +475,16 @@ mod sampled_tests {
     use super::*;
     use s64v_workloads::{Suite, SuiteKind};
 
-    #[test]
-    fn sampled_windows_commit_their_records() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let t = suite.programs()[0].generate(60_000, 5);
-        let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let r = model.run_trace_sampled(&t, &[(20_000, 5_000), (40_000, 5_000)]);
-        assert_eq!(r.committed, 10_000);
-        assert!(r.cycles > 0);
+    /// Times `[start, start + len)` of `t` after functionally warming the
+    /// `warm` records before it — the slice form of one sampled window.
+    fn window(
+        model: &PerformanceModel,
+        t: &VecTrace,
+        (start, len, warm): (usize, usize, usize),
+        opts: RunOptions,
+    ) -> RunResult {
+        let recs = &t.records()[start - warm..start + len];
+        model.try_run(&[recs], warm, opts, None).unwrap().0
     }
 
     #[test]
@@ -749,12 +492,16 @@ mod sampled_tests {
         let suite = Suite::preset(SuiteKind::SpecInt95);
         let t = suite.programs()[1].generate(80_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        // Three spread windows vs timing the same records contiguously
-        // after an equivalent warm-up.
-        let sampled =
-            model.run_trace_sampled(&t, &[(30_000, 8_000), (50_000, 8_000), (70_000, 8_000)]);
+        // Three spread windows, each warmed from record 0, vs timing the
+        // same span contiguously after an equivalent warm-up.
+        let (mut committed, mut cycles) = (0, 0);
+        for start in [30_000, 50_000, 70_000] {
+            let r = window(&model, &t, (start, 8_000, start), RunOptions::default());
+            committed += r.committed;
+            cycles += r.cycles;
+        }
         let contiguous = model.run_trace_warm(&t, 56_000); // times the last 24k
-        let a = sampled.ipc();
+        let a = committed as f64 / cycles as f64;
         let b = contiguous.ipc();
         assert!(
             (a - b).abs() / b < 0.25,
@@ -763,58 +510,24 @@ mod sampled_tests {
     }
 
     #[test]
-    #[should_panic(expected = "ascending and disjoint")]
-    fn overlapping_windows_are_rejected() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let t = suite.programs()[0].generate(20_000, 5);
-        let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let _ = model.run_trace_sampled(&t, &[(5_000, 5_000), (8_000, 2_000)]);
-    }
-
-    #[test]
     fn independent_windows_commit_exactly_their_records() {
         let suite = Suite::preset(SuiteKind::SpecInt95);
         let t = suite.programs()[0].generate(60_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let r = model
-            .try_run_trace_window(&t, 20_000, 5_000, 4_000, RunOptions::default())
-            .unwrap();
+        let r = window(&model, &t, (20_000, 5_000, 4_000), RunOptions::default());
         assert_eq!(r.committed, 5_000);
         assert!(r.cycles > 0);
         // A window is independent of everything after it: truncating the
         // trace right at the window's end must not change the result.
-        let truncated = s64v_trace::VecTrace::from_records(t.records()[..25_000].to_vec());
-        let r2 = model
-            .try_run_trace_window(&truncated, 20_000, 5_000, 4_000, RunOptions::default())
-            .unwrap();
+        let truncated = VecTrace::from_records(t.records()[..25_000].to_vec());
+        let r2 = window(
+            &model,
+            &truncated,
+            (20_000, 5_000, 4_000),
+            RunOptions::default(),
+        );
         assert_eq!(r.cycles, r2.cycles);
         assert_eq!(r.committed, r2.committed);
-    }
-
-    #[test]
-    fn plan_windows_match_individual_windows() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let t = suite.programs()[1].generate(50_000, 5);
-        let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let plan = SamplePlan::new(16_000, 4_000, 3_000, 42);
-        let per_window = model
-            .try_run_trace_plan(&t, &plan, RunOptions::default())
-            .unwrap();
-        let windows = plan.windows(t.len() as u64);
-        assert_eq!(per_window.len(), windows.len());
-        for (r, &(start, len)) in per_window.iter().zip(&windows) {
-            let lone = model
-                .try_run_trace_window(
-                    &t,
-                    start as usize,
-                    len as usize,
-                    plan.warmup as usize,
-                    RunOptions::default(),
-                )
-                .unwrap();
-            assert_eq!(r.cycles, lone.cycles, "window at {start} differs");
-            assert_eq!(r.committed, len);
-        }
     }
 
     #[test]
@@ -822,25 +535,15 @@ mod sampled_tests {
         let suite = Suite::preset(SuiteKind::Tpcc);
         let t = suite.programs()[0].generate(40_000, 9);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let base = model
-            .try_run_trace_window(&t, 10_000, 6_000, 5_000, RunOptions::default())
-            .unwrap();
-        let no_skip = model
-            .try_run_trace_window(
-                &t,
-                10_000,
-                6_000,
-                5_000,
-                RunOptions {
-                    no_skip: true,
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        let checked = model
-            .try_run_trace_window(&t, 10_000, 6_000, 5_000, RunOptions::checked())
-            .unwrap();
-        assert_eq!(base.cycles, no_skip.cycles);
+        let w = (10_000, 6_000, 5_000);
+        let base = window(&model, &t, w, RunOptions::default());
+        let no_skip = RunOptions {
+            no_skip: true,
+            ..RunOptions::default()
+        };
+        let stepped = window(&model, &t, w, no_skip);
+        let checked = window(&model, &t, w, RunOptions::checked());
+        assert_eq!(base.cycles, stepped.cycles);
         assert_eq!(base.cycles, checked.cycles);
         assert_eq!(base.committed, checked.committed);
     }

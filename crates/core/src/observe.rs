@@ -230,7 +230,9 @@ mod tests {
         let t = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(12_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
         let plain = model.run_trace(&t);
-        let (observed, obs) = model.run_trace_observed(&t, ObserveConfig::default());
+        let (observed, obs) = model
+            .try_run(&[&t], 0, Default::default(), Some(ObserveConfig::default()))
+            .expect("clean run");
         assert_eq!(plain.cycles, observed.cycles, "observation is read-only");
         assert_eq!(plain.committed, observed.committed);
         assert_eq!(
@@ -256,7 +258,9 @@ mod tests {
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
         let mut ocfg = ObserveConfig::metrics_only(2_000);
         ocfg.timeline = None;
-        let (r, obs) = model.run_trace_observed(&t, ocfg);
+        let (r, obs) = model
+            .try_run(&[&t], 0, Default::default(), Some(ocfg))
+            .expect("clean run");
         assert!(obs.events.is_empty(), "metrics-only records no events");
         let ivs = &obs.intervals;
         assert!(ivs.len() >= 2, "run long enough for several windows");

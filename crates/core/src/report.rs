@@ -67,13 +67,19 @@ pub fn ratio_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_suite;
+    use crate::experiment::run_suite_warm;
     use crate::system::SystemConfig;
     use s64v_workloads::SuiteKind;
 
     #[test]
     fn tables_render() {
-        let base = run_suite(&SystemConfig::sparc64_v(), SuiteKind::SpecFp95, 1_000, 1);
+        let base = run_suite_warm(
+            &SystemConfig::sparc64_v(),
+            SuiteKind::SpecFp95,
+            1_000,
+            1_000,
+            1,
+        );
         let alt = base.clone();
         let t = ipc_ratio_table("base", "alt", &[(base.clone(), alt)]);
         let text = t.to_string();

@@ -16,19 +16,27 @@ fn setup() -> (PerformanceModel, Vec<VecTrace>) {
     (PerformanceModel::new(SystemConfig::smp(2)), traces)
 }
 
+/// Runs every trace from its first record, unobserved.
+fn run(
+    model: &PerformanceModel,
+    traces: &[VecTrace],
+    opts: RunOptions,
+) -> Result<s64v_core::RunResult, SimError> {
+    model.try_run(traces, 0, opts, None).map(|(r, _)| r)
+}
+
 fn run_with(class: FaultClass, cycle: u64) -> Result<s64v_core::RunResult, SimError> {
     let (model, traces) = setup();
     let plan = FaultPlan::at(class, 0, cycle);
-    model.try_run_traces(&traces, RunOptions::checked_with_fault(plan))
+    run(&model, &traces, RunOptions::checked_with_fault(plan))
 }
 
 #[test]
 fn unfaulted_checked_run_is_violation_free() {
     let (model, traces) = setup();
-    let checked = model
-        .try_run_traces(&traces, RunOptions::checked())
+    let checked = run(&model, &traces, RunOptions::checked())
         .expect("no invariant fires without injected faults");
-    let plain = model.run_traces(&traces);
+    let plain = run(&model, &traces, RunOptions::default()).expect("clean run");
     assert_eq!(
         plain.cycles, checked.cycles,
         "checked mode must not perturb timing"
@@ -88,8 +96,7 @@ fn seeded_plans_reproduce_the_same_failure() {
     let fp = config_fingerprint(model.config());
     let run = |seed| {
         let plan = FaultPlan::seeded(FaultClass::RewindCommit, 0, seed, fp, 1_000, 4_000);
-        model
-            .try_run_traces(&traces, RunOptions::checked_with_fault(plan))
+        run(&model, &traces, RunOptions::checked_with_fault(plan))
             .expect_err("rewind is always detected")
     };
     let a = run(7);

@@ -8,7 +8,7 @@
 //! histogram bucket and stall-blame cell — anything the reports or
 //! fingerprints could derive from).
 
-use s64v_core::{ObserveConfig, PerformanceModel, RunOptions, SystemConfig};
+use s64v_core::{ObserveConfig, PerformanceModel, RunOptions, RunResult, SystemConfig};
 use s64v_observe::CpiStack;
 use s64v_trace::SamplePlan;
 use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
@@ -22,11 +22,22 @@ fn no_skip() -> RunOptions {
     }
 }
 
+/// Runs `traces` (one per CPU) after `warmup` records, unobserved.
+fn run<R: AsRef<[s64v_trace::TraceRecord]>>(
+    model: &PerformanceModel,
+    traces: &[R],
+    warmup: usize,
+    opts: RunOptions,
+) -> RunResult {
+    model
+        .try_run(traces, warmup, opts, None)
+        .expect("clean run")
+        .0
+}
+
 fn assert_identical(label: &str, model: &PerformanceModel, trace: &s64v_trace::VecTrace) {
-    let skipped = model
-        .try_run_trace(trace, RunOptions::default())
-        .expect("clean run");
-    let stepped = model.try_run_trace(trace, no_skip()).expect("clean run");
+    let skipped = run(model, &[trace], 0, RunOptions::default());
+    let stepped = run(model, &[trace], 0, no_skip());
     assert_eq!(
         format!("{skipped:?}"),
         format!("{stepped:?}"),
@@ -39,11 +50,7 @@ fn assert_identical(label: &str, model: &PerformanceModel, trace: &s64v_trace::V
 /// leaf (not merely produce equal aggregate results), and each stack must
 /// conserve its core's cycle count — the checked-mode invariant, asserted
 /// here on every equivalence suite.
-fn assert_cpi_identical(
-    label: &str,
-    skipped: &s64v_core::RunResult,
-    stepped: &s64v_core::RunResult,
-) {
+fn assert_cpi_identical(label: &str, skipped: &RunResult, stepped: &RunResult) {
     for (cpu, (a, b)) in skipped
         .core_stats
         .iter()
@@ -88,10 +95,8 @@ fn tpcc_matches_on_up_and_smp() {
     let smp = PerformanceModel::new(SystemConfig::smp(2));
     for &seed in &SEEDS {
         let traces = smp_traces(&tpcc_program(), 2, 6_000, seed);
-        let skipped = smp
-            .try_run_traces(&traces, RunOptions::default())
-            .expect("clean run");
-        let stepped = smp.try_run_traces(&traces, no_skip()).expect("clean run");
+        let skipped = run(&smp, &traces, 0, RunOptions::default());
+        let stepped = run(&smp, &traces, 0, no_skip());
         assert_eq!(
             format!("{skipped:?}"),
             format!("{stepped:?}"),
@@ -107,12 +112,8 @@ fn warm_runs_match() {
     let suite = Suite::preset(SuiteKind::SpecInt95);
     for &seed in &SEEDS {
         let trace = suite.programs()[1].generate(20_000, seed);
-        let skipped = model
-            .try_run_trace_warm(&trace, 10_000, RunOptions::default())
-            .expect("clean run");
-        let stepped = model
-            .try_run_trace_warm(&trace, 10_000, no_skip())
-            .expect("clean run");
+        let skipped = run(&model, &[&trace], 10_000, RunOptions::default());
+        let stepped = run(&model, &[&trace], 10_000, no_skip());
         assert_eq!(
             format!("{skipped:?}"),
             format!("{stepped:?}"),
@@ -128,10 +129,10 @@ fn observed_runs_match_including_interval_samples() {
     let trace = tpcc_program().generate(8_000, 7);
     let ocfg = ObserveConfig::metrics_only(1_000);
     let (r_skip, o_skip) = model
-        .try_run_traces_observed(std::slice::from_ref(&trace), RunOptions::default(), ocfg)
+        .try_run(&[&trace], 0, RunOptions::default(), Some(ocfg))
         .expect("clean run");
     let (r_step, o_step) = model
-        .try_run_traces_observed(std::slice::from_ref(&trace), no_skip(), ocfg)
+        .try_run(&[&trace], 0, no_skip(), Some(ocfg))
         .expect("clean run");
     assert_eq!(format!("{r_skip:?}"), format!("{r_step:?}"));
     assert_cpi_identical("observed", &r_skip, &r_step);
@@ -149,12 +150,8 @@ fn checked_runs_agree_with_skipped_plain_runs() {
     // states the skipping path proved it could jump over.
     let model = PerformanceModel::new(SystemConfig::sparc64_v());
     let trace = tpcc_program().generate(8_000, 3);
-    let plain = model
-        .try_run_trace(&trace, RunOptions::default())
-        .expect("clean run");
-    let checked = model
-        .try_run_trace(&trace, RunOptions::checked())
-        .expect("no invariant fires");
+    let plain = run(&model, &[&trace], 0, RunOptions::default());
+    let checked = run(&model, &[&trace], 0, RunOptions::checked());
     assert_eq!(format!("{plain:?}"), format!("{checked:?}"));
 }
 
@@ -173,15 +170,22 @@ fn sampled_windows_conserve_cpi_in_aggregate_on_every_suite() {
         let suite = Suite::preset(kind);
         for &seed in &SEEDS {
             let trace = suite.programs()[0].generate(14_000, seed);
-            let skipped = model
-                .try_run_trace_plan(&trace, &plan, RunOptions::default())
-                .expect("clean run");
-            let stepped = model
-                .try_run_trace_plan(&trace, &plan, no_skip())
-                .expect("clean run");
-            let checked = model
-                .try_run_trace_plan(&trace, &plan, RunOptions::checked())
-                .expect("no invariant fires");
+            // Each window is the slice [start - warm, start + len) timed
+            // after warming on the records before `start`.
+            let windows = |opts: RunOptions| -> Vec<RunResult> {
+                plan.windows(trace.len() as u64)
+                    .into_iter()
+                    .map(|(start, len)| {
+                        let (start, len) = (start as usize, len as usize);
+                        let from = start.saturating_sub(plan.warmup as usize);
+                        let recs = &trace.records()[from..start + len];
+                        run(&model, &[recs], start - from, opts.clone())
+                    })
+                    .collect()
+            };
+            let skipped = windows(RunOptions::default());
+            let stepped = windows(no_skip());
+            let checked = windows(RunOptions::checked());
             assert_eq!(
                 format!("{skipped:?}"),
                 format!("{stepped:?}"),
@@ -226,11 +230,6 @@ fn skipping_actually_engages_on_miss_bound_workloads() {
     let trace = tpcc_program().generate(30_000, 7);
     let r = model.run_trace(&trace);
     assert_eq!(r.committed, 30_000);
-    assert!(
-        std::env::var_os("S64V_NO_SKIP").is_some() || {
-            let core = s64v_cpu::Core::new(s64v_cpu::CoreConfig::sparc64_v(), 0);
-            core.skip_enabled()
-        },
-        "skip must be on by default"
-    );
+    let core = s64v_cpu::Core::new(s64v_cpu::CoreConfig::sparc64_v(), 0);
+    assert!(core.skip_enabled(), "skip must be on by default");
 }

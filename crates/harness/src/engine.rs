@@ -215,17 +215,27 @@ fn shared_trace(suite: SuiteKind, index: usize, records: usize, seed: u64) -> Ar
 /// structured [`SimError`]. Pure: everything derives from the point and
 /// the options, so equal fingerprints mean equal return values.
 pub fn try_execute_point(point: &SimPoint, opts: RunOptions) -> Result<PointMetrics, SimError> {
-    match point.work {
+    run_point(point, opts, None).map(|(m, _)| m)
+}
+
+/// [`try_execute_point`], plus the run's [`RunObservation`] when
+/// `observe` is given. Observation is read-only, so the metrics are
+/// byte-identical either way — cache entries written from observed and
+/// plain runs are interchangeable. `Verify` points drive two machines
+/// through `compare`, and sampled windows measure steady-state statistics
+/// rather than instruction narratives: both run unobserved and return an
+/// empty observation.
+fn run_point(
+    point: &SimPoint,
+    opts: RunOptions,
+    observe: Option<ObserveConfig>,
+) -> Result<(PointMetrics, RunObservation), SimError> {
+    let model = PerformanceModel::new(point.config.clone());
+    let (r, obs) = match point.work {
         WorkUnit::Program { suite, index } => {
-            let programs = Suite::preset(suite);
-            let trace =
-                programs.programs()[index].generate(point.records + point.warmup, point.seed);
-            let model = PerformanceModel::new(point.config.clone());
-            Ok(metrics_from(&model.try_run_trace_warm(
-                &trace,
-                point.warmup,
-                opts,
-            )?))
+            let trace = Suite::preset(suite).programs()[index]
+                .generate(point.records + point.warmup, point.seed);
+            model.try_run(&[trace], point.warmup, opts, observe)?
         }
         WorkUnit::SmpTpcc => {
             let traces = smp_traces(
@@ -234,26 +244,21 @@ pub fn try_execute_point(point: &SimPoint, opts: RunOptions) -> Result<PointMetr
                 point.records + point.warmup,
                 point.seed,
             );
-            let model = PerformanceModel::new(point.config.clone());
-            Ok(metrics_from(&model.try_run_traces_warm(
-                &traces,
-                point.warmup,
-                opts,
-            )?))
+            model.try_run(&traces, point.warmup, opts, observe)?
         }
         WorkUnit::Verify { suite, index } => {
             // `compare` drives both machines itself; checked mode and
             // fault injection do not apply to the reference cross-check.
-            let programs = Suite::preset(suite);
-            let trace =
-                programs.programs()[index].generate(point.records + point.warmup, point.seed);
+            let trace = Suite::preset(suite).programs()[index]
+                .generate(point.records + point.warmup, point.seed);
             let check = compare(&point.config, &trace, point.warmup);
-            Ok(PointMetrics {
+            let metrics = PointMetrics {
                 cycles: check.model_cycles,
                 reference_cycles: check.reference_cycles,
                 same_work: check.passed(),
                 ..PointMetrics::default()
-            })
+            };
+            return Ok((metrics, RunObservation::default()));
         }
         WorkUnit::SampledWindow {
             suite,
@@ -268,67 +273,17 @@ pub fn try_execute_point(point: &SimPoint, opts: RunOptions) -> Result<PointMetr
             // points, so a window's cost is O(warmup + len) no matter
             // how long the trace is.
             let trace = shared_trace(suite, index, point.records, point.seed);
-            let model = PerformanceModel::new(point.config.clone());
-            Ok(metrics_from(&model.try_run_trace_window(
-                &trace,
-                start,
-                len,
-                point.warmup,
-                opts,
-            )?))
-        }
-    }
-}
-
-/// Panicking convenience wrapper around [`try_execute_point`] with
-/// default options.
-pub fn execute_point(point: &SimPoint) -> PointMetrics {
-    try_execute_point(point, RunOptions::default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Observed variant of [`try_execute_point`]: same simulation, plus the
-/// run's [`RunObservation`] per `ocfg`. Observation is read-only, so the
-/// metrics are byte-identical to the unobserved call — cache entries
-/// written from either path are interchangeable. `Verify` points drive
-/// two machines through `compare` and record nothing (the observation
-/// comes back empty).
-pub fn try_execute_point_observed(
-    point: &SimPoint,
-    opts: RunOptions,
-    ocfg: ObserveConfig,
-) -> Result<(PointMetrics, RunObservation), SimError> {
-    match point.work {
-        WorkUnit::Program { suite, index } => {
-            let programs = Suite::preset(suite);
-            let trace =
-                programs.programs()[index].generate(point.records + point.warmup, point.seed);
-            let model = PerformanceModel::new(point.config.clone());
-            let (r, obs) = model.try_run_traces_warm_observed(
-                std::slice::from_ref(&trace),
-                point.warmup,
-                opts,
-                ocfg,
-            )?;
-            Ok((metrics_from(&r), obs))
-        }
-        WorkUnit::SmpTpcc => {
-            let traces = smp_traces(
-                &tpcc_program(),
-                point.config.cpus,
-                point.records + point.warmup,
-                point.seed,
+            let recs = trace.records();
+            assert!(
+                len > 0 && start + len <= recs.len(),
+                "sampled window {start}+{len} is empty or exceeds the {}-record trace",
+                recs.len()
             );
-            let model = PerformanceModel::new(point.config.clone());
-            let (r, obs) = model.try_run_traces_warm_observed(&traces, point.warmup, opts, ocfg)?;
-            Ok((metrics_from(&r), obs))
+            let from = start.saturating_sub(point.warmup);
+            model.try_run(&[&recs[from..start + len]], start - from, opts, None)?
         }
-        // Verify drives two machines through `compare`; sampled windows
-        // measure steady-state statistics, not instruction narratives.
-        // Both run unobserved and return an empty observation.
-        WorkUnit::Verify { .. } | WorkUnit::SampledWindow { .. } => {
-            Ok((try_execute_point(point, opts)?, RunObservation::default()))
-        }
-    }
+    };
+    Ok((metrics_from(&r), obs))
 }
 
 /// Renders a traced point's pipeline diagram, one section per CPU.
@@ -605,20 +560,17 @@ pub fn run_campaign(
                             if attempt == 0 && chaos.fire(HarnessFaultClass::WorkerPanic, &fp_hex) {
                                 panic!("chaos: injected worker panic");
                             }
-                            if observed {
-                                let ocfg = if wants_trace {
+                            let observe = observed.then(|| {
+                                if wants_trace {
                                     ObserveConfig {
                                         interval: spec.observe.interval,
                                         ..ObserveConfig::default()
                                     }
                                 } else {
                                     ObserveConfig::metrics_only(spec.observe.interval)
-                                };
-                                try_execute_point_observed(point, opts, ocfg)
-                            } else {
-                                try_execute_point(point, opts)
-                                    .map(|m| (m, RunObservation::default()))
-                            }
+                                }
+                            });
+                            run_point(point, opts, observe)
                         }));
                         drop(guard);
 
@@ -887,9 +839,22 @@ mod tests {
     #[test]
     fn engine_matches_direct_execution() {
         let p = program_point(4_000, 9);
-        let direct = execute_point(&p);
+        let direct = try_execute_point(&p, RunOptions::default()).expect("clean run");
         let outcome = run_campaign(&CampaignSpec::new("unit", vec![p]), None).expect("run");
         assert_eq!(outcome.outcomes[0].metrics(), Some(&direct));
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled window 3000+1000 is empty or exceeds the 3500-record trace")]
+    fn out_of_range_window_names_the_window() {
+        let mut p = program_point(3_500, 9);
+        p.work = WorkUnit::SampledWindow {
+            suite: SuiteKind::SpecInt95,
+            index: 0,
+            start: 3_000,
+            len: 1_000,
+        };
+        let _ = try_execute_point(&p, RunOptions::default());
     }
 
     #[test]

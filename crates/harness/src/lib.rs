@@ -53,7 +53,7 @@ pub mod spec;
 pub mod supervise;
 pub mod validate;
 
-pub use engine::{execute_point, run_campaign, try_execute_point, CampaignOutcome, PointOutcome};
+pub use engine::{run_campaign, try_execute_point, CampaignOutcome, PointOutcome};
 pub use explore::{load_cached_report, report_path, run_explore, store_report, ExploreOpts};
 pub use figures::{figure, figure_names, run_figures, EngineOpts, FigureDef, RunSummary};
 pub use perf::{

@@ -430,6 +430,20 @@ mod tests {
     }
 
     #[test]
+    fn env_defaults_parse() {
+        let o = HarnessOpts::from_env();
+        assert!(o.records > 0);
+        assert!(o.smp_cpus >= 1);
+    }
+
+    #[test]
+    fn smoke_is_small() {
+        let o = HarnessOpts::smoke();
+        assert!(o.records <= 10_000);
+        assert_eq!(o.smp_cpus, 2);
+    }
+
+    #[test]
     fn fingerprints_are_stable_and_sensitive() {
         let p = point();
         assert_eq!(p.fingerprint(), point().fingerprint());

@@ -101,8 +101,8 @@ impl SampleOpts {
 
 /// Every uniprocessor figure workload, as `(suite, program index)` in
 /// reporting order. (The lock-stepped SMP TPC-C model is excluded:
-/// sampled windows are a uniprocessor mode, matching
-/// [`s64v_core::PerformanceModel::try_run_trace_window`].)
+/// sampled windows are a uniprocessor mode, one record slice per
+/// window; see [`crate::WorkUnit::SampledWindow`].)
 pub fn validate_workloads() -> Vec<(SuiteKind, usize)> {
     UP_SUITES
         .iter()

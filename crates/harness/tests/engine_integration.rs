@@ -114,7 +114,7 @@ fn panicking_point_fails_alone() {
     std::fs::remove_dir_all(&dir).ok();
 
     let mut points = small_points();
-    // Zero timed records after warm-up: execute_point rejects this with
+    // Zero timed records after warm-up: try_execute_point rejects this with
     // a panic, standing in for any mid-simulation crash.
     points[1].records = 0;
 

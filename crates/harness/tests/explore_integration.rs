@@ -123,3 +123,40 @@ fn halving_simulates_fewer_full_length_points_than_the_grid() {
         "the winner sits on its own frontier"
     );
 }
+
+#[test]
+fn serve_rejects_a_hostile_deeply_nested_query_and_drains() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    // A grid nested 10^6 levels deep once overflowed the parser's stack
+    // and aborted `serve` (SIGABRT, exit 134) beyond the reach of any
+    // supervisor. It must now be one rejected query in a clean drain.
+    let depth = 1_000_000;
+    let line = format!("{{\"grid\":{}{}}}\n", "[".repeat(depth), "]".repeat(depth));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["serve", "--no-cache"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn campaign serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(line.as_bytes())
+        .expect("write query");
+    let out = child.wait_with_output().expect("serve exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("serve: bad query:"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    assert!(
+        stderr.contains("serve: 0 answered, 1 rejected"),
+        "serve must drain to its summary: {stderr}"
+    );
+    // Exit 1 is serve's status for "a query was rejected"; an abort would
+    // be a signal (no code) or 134.
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report for a rejected query");
+}

@@ -14,6 +14,13 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a bound one hostile line nested a
+/// few tens of thousands deep overflows the stack and aborts the process
+/// (no `catch_unwind` can stop that). Real documents nest a handful of
+/// levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -95,6 +102,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -238,6 +246,8 @@ fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -284,8 +294,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -293,6 +303,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -515,6 +540,21 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_rejected_at_the_depth_limit() {
+        let depth = 1_000_000;
+        let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for (doc, width) in [(arrays, 1), (objects, 5)] {
+            let err = Value::parse(&doc).expect_err("a million levels must be refused");
+            let at = format!("at byte {}", MAX_DEPTH * width);
+            assert!(err.contains("nesting deeper") && err.contains(&at), "{err}");
+        }
+        // The limit itself still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&deepest).is_ok());
     }
 
     #[test]

@@ -37,6 +37,6 @@ pub mod text;
 
 pub use builder::TraceBuilder;
 pub use record::TraceRecord;
-pub use sample::{IntervalSample, SamplePlan, SkipWarmup};
+pub use sample::SamplePlan;
 pub use stream::{SliceStream, TraceStream, VecTrace};
 pub use summary::TraceSummary;

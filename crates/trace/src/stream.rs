@@ -125,6 +125,12 @@ impl VecTrace {
     }
 }
 
+impl AsRef<[TraceRecord]> for VecTrace {
+    fn as_ref(&self) -> &[TraceRecord] {
+        &self.records
+    }
+}
+
 impl FromIterator<TraceRecord> for VecTrace {
     fn from_iter<T: IntoIterator<Item = TraceRecord>>(iter: T) -> Self {
         VecTrace {

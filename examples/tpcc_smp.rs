@@ -6,7 +6,7 @@
 //! cargo run --release --example tpcc_smp [cpus]
 //! ```
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, RunOptions, SystemConfig};
 use sparc64v::workloads::{smp_traces, suite::tpcc_program};
 
 fn main() {
@@ -21,7 +21,9 @@ fn main() {
     let traces = smp_traces(&tpcc_program(), cpus, warmup + timed, 7);
 
     let config = SystemConfig::smp(cpus);
-    let result = PerformanceModel::new(config).run_traces_warm(&traces, warmup);
+    let result = PerformanceModel::new(config)
+        .try_run_traces_warm(&traces, warmup, RunOptions::default())
+        .expect("clean run");
 
     println!(
         "system throughput: {:.3} IPC over {} cycles",

@@ -168,77 +168,73 @@ fn writes_are_exclusive() {
 }
 
 mod sampling_props {
-    use super::arb_trace;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sparc64v::trace::{IntervalSample, SkipWarmup, TraceRecord, TraceStream};
+    use sparc64v::trace::SamplePlan;
 
-    fn drain(mut s: impl TraceStream) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        while let Some(r) = s.next_record() {
-            out.push(r);
-        }
-        out
-    }
-
-    /// Records an `IntervalSample(window, period)` keeps out of `n`.
+    /// Records kept by `window` of every `period` out of `n`.
     fn kept(n: u64, window: u64, period: u64) -> u64 {
         (n / period) * window + (n % period).min(window)
     }
 
     #[test]
-    fn skip_and_interval_compose_to_the_closed_form_in_both_orders() {
+    fn plan_windows_match_the_closed_form() {
         let mut rng = StdRng::seed_from_u64(0x5a3);
-        for case in 0..128 {
-            let trace = arb_trace(&mut rng, 300);
-            let n = trace.len() as u64;
-            let period = rng.gen_range(1..40u64);
+        for case in 0..512 {
+            let period = rng.gen_range(1..400u64);
             let window = rng.gen_range(1..=period);
-            let warmup = rng.gen_range(0..80u64);
-
-            // Skip over the sampled stream: warm-up is paid in *kept*
-            // records.
-            let outer =
-                SkipWarmup::new(IntervalSample::new(trace.stream(), window, period), warmup);
-            let expect = kept(n, window, period).saturating_sub(warmup);
-            assert_eq!(
-                outer.remaining_hint(),
-                Some(expect),
-                "case {case}: hint (skip∘sample) n={n} w={window} p={period} k={warmup}"
+            let plan = SamplePlan::new(
+                period,
+                window,
+                rng.gen_range(0..1_000u64),
+                rng.gen_range(0..=u64::MAX),
             );
+            let n = rng.gen_range(0..5_000u64);
+            let phase = plan.phase();
+            let windows = plan.windows(n);
+            for (k, &(start, len)) in windows.iter().enumerate() {
+                // Window k lies inside [phase + k·period, +window) and the trace.
+                let lo = phase + k as u64 * period;
+                assert!(
+                    len > 0 && start >= lo && start + len <= (lo + window).min(n),
+                    "case {case}: window {k} = ({start}, {len}) p={period} w={window} phase={phase} n={n}"
+                );
+            }
+            for w in windows.windows(2) {
+                assert!(
+                    w[0].0 + w[0].1 <= w[1].0,
+                    "case {case}: {w:?} not ascending and disjoint"
+                );
+            }
             assert_eq!(
-                drain(outer).len() as u64,
-                expect,
-                "case {case}: drained (skip∘sample) n={n} w={window} p={period} k={warmup}"
-            );
-
-            // Sample over the skipped stream: warm-up is paid in *raw*
-            // records before sampling starts.
-            let inner =
-                IntervalSample::new(SkipWarmup::new(trace.stream(), warmup), window, period);
-            let expect = kept(n.saturating_sub(warmup), window, period);
-            assert_eq!(
-                inner.remaining_hint(),
-                Some(expect),
-                "case {case}: hint (sample∘skip) n={n} w={window} p={period} k={warmup}"
-            );
-            assert_eq!(
-                drain(inner).len() as u64,
-                expect,
-                "case {case}: drained (sample∘skip) n={n} w={window} p={period} k={warmup}"
+                plan.sampled_records(n),
+                kept(n.saturating_sub(phase), window, period),
+                "case {case}: p={period} w={window} phase={phase} n={n}"
             );
         }
     }
 
     #[test]
-    fn full_window_sampling_is_the_identity_on_any_trace() {
+    fn full_window_plans_tile_any_trace() {
         let mut rng = StdRng::seed_from_u64(0x1d3);
-        for case in 0..64 {
-            let trace = arb_trace(&mut rng, 250);
-            let period = rng.gen_range(1..50u64);
-            let sampled = drain(IntervalSample::new(trace.stream(), period, period));
-            let raw = drain(trace.stream());
-            assert_eq!(sampled, raw, "case {case}: period {period}");
+        for case in 0..256 {
+            let period = rng.gen_range(1..400u64);
+            let plan = SamplePlan::new(
+                period,
+                period,
+                rng.gen_range(0..1_000u64),
+                rng.gen_range(0..=u64::MAX),
+            );
+            let n = rng.gen_range(0..5_000u64);
+            let mut next = 0;
+            for (start, len) in plan.windows(n) {
+                assert_eq!(start, next, "case {case}: gap or overlap, period {period}");
+                next = start + len;
+            }
+            assert_eq!(
+                next, n,
+                "case {case}: windows must cover [0, {n}), period {period}"
+            );
         }
     }
 }

@@ -1,6 +1,8 @@
 //! Integration: traces written to disk stream straight back into the
 //! performance model.
 
+use sparc64v::cpu::Core;
+use sparc64v::mem::MemorySystem;
 use sparc64v::model::{PerformanceModel, SystemConfig};
 use sparc64v::trace::io::{TraceReader, TraceWriter};
 use sparc64v::trace::{TraceStream, VecTrace};
@@ -41,8 +43,14 @@ fn model_can_consume_a_reader_stream_directly() {
     let suite = Suite::preset(SuiteKind::SpecFp95);
     let trace = suite.programs()[0].generate(10_000, 13);
     let bytes = sparc64v::trace::binary::encode(&trace);
-    let reader = TraceReader::new(&bytes[..]).expect("header");
-    let model = PerformanceModel::new(SystemConfig::sparc64_v());
-    let r = model.run_stream(reader);
-    assert_eq!(r.committed, 10_000);
+    let mut reader = TraceReader::new(&bytes[..]).expect("header");
+    // A core pulls records straight off the reader, never materializing
+    // the trace, and times it exactly as the model times the vector.
+    let cfg = SystemConfig::sparc64_v();
+    let mut mem = MemorySystem::new(cfg.mem.clone(), 1);
+    let mut core = Core::new(cfg.core.clone(), 0);
+    core.run(&mut mem, &mut reader);
+    let r = PerformanceModel::new(cfg).run_trace(&trace);
+    assert_eq!(core.stats().committed.get(), 10_000);
+    assert_eq!(core.stats().cycles.get(), r.core_stats[0].cycles.get());
 }
