@@ -333,18 +333,19 @@ impl Auditor {
                 ));
             }
 
-            // Top-down CPI conservation: every simulated cycle must be
-            // attributed to exactly one blame-taxonomy leaf, so the leaf
-            // counters partition the cycle counter exactly.
+            // CPI conservation: every simulated cycle must be attributed
+            // to exactly one blame pair, so the pair counters (and with
+            // them both CPI projections) partition the cycle counter.
             let stats = core.stats();
-            if !stats.cpi.conserves(stats.cycles.get()) {
+            let cpi = stats.cpi();
+            if !cpi.conserves(stats.cycles.get()) {
                 return Err(self.err(
                     now,
                     Some(i),
                     Component::Conservation,
                     format!(
                         "CPI-stack conservation broken: {} attributed cycles != {} simulated",
-                        stats.cpi.total(),
+                        cpi.total(),
                         stats.cycles.get()
                     ),
                     Some(s),

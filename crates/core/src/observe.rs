@@ -14,7 +14,7 @@
 
 use s64v_cpu::{Core, TimelineMode};
 use s64v_mem::MemorySystem;
-use s64v_observe::{CpuInterval, EventLog, IntervalSample, ObsEvent, RunObservation};
+use s64v_observe::{CpiStack, CpuInterval, EventLog, IntervalSample, ObsEvent, RunObservation};
 
 /// What to record during a run.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +56,7 @@ impl ObserveConfig {
 #[derive(Debug, Clone, Copy, Default)]
 struct PrevCpu {
     committed: u64,
-    stalls: [u64; 7],
+    cpi: CpiStack,
 }
 
 /// Attached observation state for one run (see the module docs).
@@ -68,21 +68,6 @@ pub struct Observer {
     prev: Vec<PrevCpu>,
     prev_bus_busy: u64,
     prev_bus_txns: u64,
-}
-
-/// Reads one core's stall-cause counters in [`s64v_observe::STALL_LABELS`]
-/// order.
-fn stall_mix(core: &Core) -> [u64; 7] {
-    let s = &core.stats().stall_cycles;
-    [
-        s.busy.get(),
-        s.l2_miss.get(),
-        s.l1_miss.get(),
-        s.execute.get(),
-        s.dispatch.get(),
-        s.frontend_branch.get(),
-        s.frontend_fetch.get(),
-    ]
 }
 
 impl Observer {
@@ -139,18 +124,12 @@ impl Observer {
         let mut committed_total = 0u64;
         for (i, core) in cores.iter().enumerate() {
             let committed_now = core.stats().committed.get();
-            let stalls_now = stall_mix(core);
+            let cpi_now = core.stats().cpi();
             let prev = &mut self.prev[i];
             let committed = committed_now - prev.committed;
-            let mut stalls = [0u64; 7];
-            for (s, (n, p)) in stalls
-                .iter_mut()
-                .zip(stalls_now.iter().zip(prev.stalls.iter()))
-            {
-                *s = n - p;
-            }
+            let cpi = cpi_now.since(&prev.cpi);
             prev.committed = committed_now;
-            prev.stalls = stalls_now;
+            prev.cpi = cpi_now;
             committed_total += committed;
 
             let snap = core.snapshot(end);
@@ -163,7 +142,7 @@ impl Observer {
                 lq_occ: snap.loads_in_flight,
                 sq_occ: snap.stores_in_flight,
                 mshr_occ: [mshr[0].occupancy, mshr[1].occupancy, mshr[2].occupancy],
-                stalls,
+                cpi,
             });
         }
         let bus_busy_now = mem.bus().busy_cycles();
@@ -274,11 +253,21 @@ mod tests {
             r.committed,
             "window commits sum to the run total"
         );
-        // The per-window stall mix partitions the window (the same
-        // invariant the end-of-run CPI stack satisfies, windowed).
+        // Each per-window CPI stack conserves its window (the same
+        // invariant the end-of-run stack satisfies, windowed), and the
+        // windows add back up to the end-of-run stack.
+        let mut merged = CpiStack::default();
         for s in ivs {
-            let blamed: u64 = s.cpus[0].stalls.iter().sum();
-            assert_eq!(blamed, s.end - s.start, "window {}..{}", s.start, s.end);
+            let cpi = &s.cpus[0].cpi;
+            assert!(
+                cpi.conserves(s.end - s.start),
+                "window {}..{}: {} attributed",
+                s.start,
+                s.end,
+                cpi.total()
+            );
+            merged.merge(cpi);
         }
+        assert_eq!(merged, r.core_stats[0].cpi());
     }
 }

@@ -47,9 +47,9 @@ fn assert_identical(label: &str, model: &PerformanceModel, trace: &s64v_trace::V
 }
 
 /// Skip-on and skip-off must attribute every cycle to the same CPI-taxonomy
-/// leaf (not merely produce equal aggregate results), and each stack must
-/// conserve its core's cycle count — the checked-mode invariant, asserted
-/// here on every equivalence suite.
+/// leaf and stall cause (not merely produce equal aggregate results), and
+/// each stack must conserve its core's cycle count — the checked-mode
+/// invariant, asserted here on every equivalence suite.
 fn assert_cpi_identical(label: &str, skipped: &RunResult, stepped: &RunResult) {
     for (cpu, (a, b)) in skipped
         .core_stats
@@ -57,15 +57,16 @@ fn assert_cpi_identical(label: &str, skipped: &RunResult, stepped: &RunResult) {
         .zip(stepped.core_stats.iter())
         .enumerate()
     {
+        let (cpi, cycles) = (a.cpi(), a.cycles.get());
         assert_eq!(
-            a.cpi, b.cpi,
+            (cpi, a.stalls()),
+            (b.cpi(), b.stalls()),
             "{label}: cpu {cpu} CPI stack differs between skip-on and skip-off"
         );
         assert!(
-            a.cpi.conserves(a.cycles.get()),
-            "{label}: cpu {cpu} CPI leaves sum {} != {} cycles",
-            a.cpi.total(),
-            a.cycles.get()
+            cpi.conserves(cycles),
+            "{label}: cpu {cpu} CPI leaves sum {} != {cycles} cycles",
+            cpi.total()
         );
     }
 }
@@ -202,7 +203,7 @@ fn sampled_windows_conserve_cpi_in_aggregate_on_every_suite() {
             // across window boundaries.
             let stacks: Vec<(CpiStack, u64)> = skipped
                 .iter()
-                .map(|r| (r.core_stats[0].cpi, r.cycles))
+                .map(|r| (r.core_stats[0].cpi(), r.cycles))
                 .collect();
             let (agg, cycles) = CpiStack::aggregate(stacks.iter().map(|(s, c)| (s, *c)))
                 .unwrap_or_else(|e| panic!("{kind:?}/seed{seed}: {e}"));

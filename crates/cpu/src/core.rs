@@ -366,10 +366,8 @@ impl Core {
     ) -> Result<(u32, bool), Box<CoreError>> {
         let wb_active = self.writeback(now);
         let committed = self.commit(now);
-        let blame = self.stall_blame(committed);
-        self.stats.stall_cycles.record(blame);
-        let leaf = self.cpi_blame(committed, now);
-        self.stats.cpi.record(leaf);
+        let (leaf, cause) = self.blame(committed, now);
+        self.stats.record_blame(leaf, cause, 1);
         let mem_active = self.memory_issue(mem, now);
         let dispatched = self.dispatch(now);
         // Parked replays reclaim freed slots before decode allocates new
@@ -697,15 +695,13 @@ impl Core {
     /// `n` and steps the wakeup cycle normally.
     pub fn skip_cycles(&mut self, now: u64, n: u64) {
         debug_assert!(n > 0);
-        let blame = self.stall_blame(0);
-        self.stats.stall_cycles.record_n(blame, n);
-        // The CPI-blame inputs are all skip-stable: every state transition
+        // The blame inputs are all skip-stable: every state transition
         // they read (head completion/dispatch/replay, fetch-queue motion,
         // structural releases) is armed as a wakeup event, and the one
         // time-dependent predicate (`front.ready_at > cycle`) cannot flip
         // inside the stretch because `front.ready_at` itself is armed.
-        let leaf = self.cpi_blame(0, now);
-        self.stats.cpi.record_n(leaf, n);
+        let (leaf, cause) = self.blame(0, now);
+        self.stats.record_blame(leaf, cause, n);
         self.stats.cycles.add(n);
         self.stats
             .window_occupancy
@@ -1053,61 +1049,39 @@ impl Core {
         committed
     }
 
-    /// Head-of-window blame for a zero-commit cycle (the online CPI stack).
-    fn stall_blame(&self, committed: u32) -> StallCause {
-        if committed > 0 {
-            return StallCause::Busy;
-        }
-        match self.rob.head() {
-            None => {
-                if self.fetch_stalled {
-                    StallCause::FrontendBranch
-                } else {
-                    StallCause::FrontendFetch
-                }
-            }
-            Some(head) => {
-                if head.rec.instr.op.is_mem() && head.mem_issued && !head.completed {
-                    match head.mem_l2_hit {
-                        Some(false) => StallCause::L2Miss,
-                        _ => StallCause::L1Miss,
-                    }
-                } else if head.dispatched {
-                    StallCause::Execute
-                } else {
-                    StallCause::Dispatch
-                }
-            }
-        }
-    }
-
-    /// Top-down taxonomy blame for one cycle: every cycle lands on exactly
-    /// one [`CpiLeaf`] (the decision tree below is total), so the per-leaf
-    /// counts conserve the cycle counter by construction.
+    /// Head-of-window blame for one cycle: the one decision per cycle
+    /// that both CPI views project from. Every cycle lands on exactly one
+    /// `(CpiLeaf, StallCause)` pair (the decision tree below is total), so
+    /// the per-pair counts conserve the cycle counter by construction.
     ///
-    /// Like [`Core::stall_blame`], attribution is head-of-window: the
-    /// oldest in-flight instruction is what commit is waiting on, so its
-    /// state names the bottleneck. The refinements over the 7-way stack:
-    /// an empty window distinguishes I-cache misses, ITLB walks, plain
-    /// decode bubbles and branch-flush recovery (wrong-path-fetch configs
-    /// charge the frontend, since fetch bandwidth is genuinely consumed);
-    /// a waiting load is blamed on the memory level recorded at issue
-    /// (MSHR and bus queuing ahead of fill level); a cancelled-and-waiting
-    /// head is bad speculation; and an undispatchable head consults the
-    /// decode backpressure to name the exhausted resource.
-    fn cpi_blame(&self, committed: u32, now: u64) -> CpiLeaf {
+    /// The oldest in-flight instruction is what commit is waiting on, so
+    /// its state names the bottleneck. The 7-way cause follows the paper's
+    /// coarse split (busy, L2/L1 miss by fill level, executing,
+    /// undispatched, branch or other front-end starvation). The top-down
+    /// leaf refines it: an empty window distinguishes I-cache misses, ITLB
+    /// walks, plain decode bubbles and branch-flush recovery (wrong-path-
+    /// fetch configs charge the frontend, since fetch bandwidth is
+    /// genuinely consumed); a waiting load is blamed on the memory level
+    /// recorded at issue (MSHR and bus queuing ahead of fill level); a
+    /// cancelled-and-waiting head is bad speculation; and an undispatchable
+    /// head consults the decode backpressure to name the exhausted
+    /// resource. The leaves do not nest under the causes (`exec-latency`
+    /// spans `execute` and `dispatch`; `mshr` spans both miss causes and
+    /// `dispatch`), which is why the pair, not the leaf, is counted.
+    fn blame(&self, committed: u32, now: u64) -> (CpiLeaf, StallCause) {
         if committed > 0 {
-            return CpiLeaf::Retire;
+            return (CpiLeaf::Retire, StallCause::Busy);
         }
         let Some(head) = self.rob.head() else {
             if self.fetch_stalled {
-                return if self.cfg.wrong_path_fetch {
+                let leaf = if self.cfg.wrong_path_fetch {
                     CpiLeaf::FrontendWrongPath
                 } else {
                     CpiLeaf::BadSpecBranchFlush
                 };
+                return (leaf, StallCause::FrontendBranch);
             }
-            return match self.fetch_queue.front() {
+            let leaf = match self.fetch_queue.front() {
                 Some(front) if front.ready_at > now => {
                     if front.fetch_tlb_miss {
                         CpiLeaf::FrontendITlb
@@ -1119,39 +1093,53 @@ impl Core {
                 }
                 _ => CpiLeaf::FrontendDecodeStarve,
             };
+            return (leaf, StallCause::FrontendFetch);
         };
         if head.rec.instr.op.is_mem() && head.mem_issued && !head.completed {
+            let cause = match head.mem_l2_hit {
+                Some(false) => StallCause::L2Miss,
+                _ => StallCause::L1Miss,
+            };
             // Store-forwarded loads never recorded a blame: they are
             // supplied at L1-hit speed from the store queue.
-            return head
+            let leaf = head
                 .mem_blame
                 .map(MemBlame::leaf)
                 .unwrap_or(CpiLeaf::MemL1d);
+            return (leaf, cause);
         }
-        if head.completed || head.dispatched {
-            // Completed heads retire on the next commit phase (a decode-
-            // completed nop behind this cycle's commit); dispatched heads
-            // are executing or generating an address.
-            return CpiLeaf::CoreExecLatency;
+        if head.dispatched {
+            // Executing or generating an address.
+            return (CpiLeaf::CoreExecLatency, StallCause::Execute);
         }
-        if head.replays > 0 {
+        let leaf = if head.completed {
+            // A decode-completed nop behind this cycle's commit: it
+            // retires on the next commit phase.
+            CpiLeaf::CoreExecLatency
+        } else if head.replays > 0 {
             // Cancelled by a mis-speculated dispatch and waiting to replay.
-            return CpiLeaf::BadSpecReplay;
-        }
-        // Undispatched head: name the exhausted resource via the decode
-        // backpressure this cycle observes, falling back to execution
-        // latency when decode flows freely (the head is merely waiting
-        // for a unit or dispatch slot).
-        match self.fetch_queue.front() {
-            Some(front) if front.ready_at <= now => match self.decode_stall_reason(&front.rec) {
-                Some(DecodeStall::StoreQueue) => CpiLeaf::MemStoreBuffer,
-                Some(DecodeStall::LoadQueue) => CpiLeaf::MemMshr,
-                Some(DecodeStall::ReservationStation) => CpiLeaf::CoreRsFull,
-                Some(DecodeStall::Window) | Some(DecodeStall::Rename) => CpiLeaf::CoreRobFull,
-                None => CpiLeaf::CoreExecLatency,
-            },
-            _ => CpiLeaf::CoreExecLatency,
-        }
+            CpiLeaf::BadSpecReplay
+        } else {
+            // Undispatched head: name the exhausted resource via the
+            // decode backpressure this cycle observes, falling back to
+            // execution latency when decode flows freely (the head is
+            // merely waiting for a unit or dispatch slot).
+            match self.fetch_queue.front() {
+                Some(front) if front.ready_at <= now => {
+                    match self.decode_stall_reason(&front.rec) {
+                        Some(DecodeStall::StoreQueue) => CpiLeaf::MemStoreBuffer,
+                        Some(DecodeStall::LoadQueue) => CpiLeaf::MemMshr,
+                        Some(DecodeStall::ReservationStation) => CpiLeaf::CoreRsFull,
+                        Some(DecodeStall::Window) | Some(DecodeStall::Rename) => {
+                            CpiLeaf::CoreRobFull
+                        }
+                        None => CpiLeaf::CoreExecLatency,
+                    }
+                }
+                _ => CpiLeaf::CoreExecLatency,
+            }
+        };
+        (leaf, StallCause::Dispatch)
     }
 
     // ----- memory issue ----------------------------------------------------
@@ -2340,58 +2328,18 @@ mod cpi_stack_tests {
     use s64v_mem::MemConfig;
     use s64v_trace::TraceBuilder;
 
-    fn stacked(trace: &s64v_trace::VecTrace) -> crate::stats::StallCycles {
+    fn stacked(trace: &s64v_trace::VecTrace) -> [u64; 7] {
         let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
         let mut core = Core::new(CoreConfig::sparc64_v(), 0);
         let mut stream = trace.stream();
         core.run(&mut mem, &mut stream);
-        core.stats().stall_cycles
+        core.stats().stalls()
     }
 
-    #[test]
-    fn blame_covers_every_cycle() {
-        let mut b = TraceBuilder::new(0x10_0000);
-        for i in 0..500u64 {
-            b.push(Instr::load(
-                Reg::int(1),
-                Reg::int(2),
-                0x40_0000 + i * 128,
-                MemWidth::B8,
-            ));
-            b.push(Instr::alu(OpClass::IntAlu, Reg::int(3), &[Reg::int(1)]));
-        }
-        let t = b.finish();
-        let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
-        let mut core = Core::new(CoreConfig::sparc64_v(), 0);
-        let mut stream = t.stream();
-        core.run(&mut mem, &mut stream);
-        let s = core.stats().stall_cycles;
-        let total: u64 = [
-            s.busy,
-            s.l2_miss,
-            s.l1_miss,
-            s.execute,
-            s.dispatch,
-            s.frontend_branch,
-            s.frontend_fetch,
-        ]
-        .iter()
-        .map(|c| c.get())
-        .sum();
-        assert_eq!(
-            total,
-            core.stats().cycles.get(),
-            "every cycle gets exactly one blame"
-        );
-    }
-
-    #[test]
-    fn stall_blame_sums_to_total_cycles_on_mixed_workload() {
-        // Satellite invariant: try_step records exactly one StallCause per
-        // timed cycle, so the seven blame counters partition the run. Use
-        // a deliberately mixed workload — integer ALU chains, long-latency
-        // FP, cache-missing loads, stores, and conditional branches — so
-        // every blame bucket is exercised in one run.
+    /// A deliberately mixed workload — integer ALU chains, long-latency
+    /// FP, cache-missing loads, stores, and conditional branches — so the
+    /// blame spreads across causes in one run.
+    fn mixed_workload() -> s64v_trace::VecTrace {
         let mut b = TraceBuilder::new(0x10_0000);
         let mut x = 3u64;
         for i in 0..300u64 {
@@ -2413,30 +2361,53 @@ mod cpi_stack_tests {
             let fall_through = b.pc() + 4;
             b.push(Instr::branch_cond(i % 3 == 0, fall_through));
         }
+        b.finish()
+    }
+
+    #[test]
+    fn blame_covers_every_cycle() {
+        let mut b = TraceBuilder::new(0x10_0000);
+        for i in 0..500u64 {
+            b.push(Instr::load(
+                Reg::int(1),
+                Reg::int(2),
+                0x40_0000 + i * 128,
+                MemWidth::B8,
+            ));
+            b.push(Instr::alu(OpClass::IntAlu, Reg::int(3), &[Reg::int(1)]));
+        }
         let t = b.finish();
         let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
         let mut core = Core::new(CoreConfig::sparc64_v(), 0);
         let mut stream = t.stream();
-        let cycles = core.run(&mut mem, &mut stream);
-        let s = core.stats().stall_cycles;
-        let buckets = [
-            s.busy,
-            s.l2_miss,
-            s.l1_miss,
-            s.execute,
-            s.dispatch,
-            s.frontend_branch,
-            s.frontend_fetch,
-        ];
-        let total: u64 = buckets.iter().map(|c| c.get()).sum();
-        assert_eq!(cycles, core.stats().cycles.get(), "run reports its cycles");
+        core.run(&mut mem, &mut stream);
+        let total: u64 = core.stats().stalls().iter().sum();
         assert_eq!(
-            total, cycles,
-            "stall-cause attribution must partition the {cycles} timed cycles"
+            total,
+            core.stats().cycles.get(),
+            "every cycle gets exactly one blame"
+        );
+    }
+
+    #[test]
+    fn stall_blame_sums_to_total_cycles_on_mixed_workload() {
+        // One blame pair is recorded per timed cycle, so the seven stall
+        // causes partition the run.
+        let t = mixed_workload();
+        let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
+        let mut core = Core::new(CoreConfig::sparc64_v(), 0);
+        let mut stream = t.stream();
+        let cycles = core.run(&mut mem, &mut stream);
+        assert_eq!(cycles, core.stats().cycles.get(), "run reports its cycles");
+        let stalls = core.stats().stalls();
+        assert_eq!(
+            stalls.iter().sum::<u64>(),
+            cycles,
+            "stall causes must partition the {cycles} timed cycles"
         );
         assert!(
-            buckets.iter().filter(|c| c.get() > 0).count() >= 4,
-            "mixed workload should spread blame across buckets, got {buckets:?}"
+            stalls.iter().filter(|&&c| c > 0).count() >= 4,
+            "mixed workload should spread blame across causes, got {stalls:?}"
         );
     }
 
@@ -2457,11 +2428,10 @@ mod cpi_stack_tests {
             b.push(Instr::alu(OpClass::IntAlu, Reg::int(3), &[Reg::int(1)]));
         }
         let s = stacked(&b.finish());
+        let (l2_miss, busy) = (s[StallCause::L2Miss as usize], s[StallCause::Busy as usize]);
         assert!(
-            s.l2_miss.get() > s.busy.get(),
-            "cold random loads: L2-miss blame {} must dominate busy {}",
-            s.l2_miss.get(),
-            s.busy.get()
+            l2_miss > busy,
+            "cold random loads: L2-miss blame {l2_miss} must dominate busy {busy}"
         );
     }
 
@@ -2473,7 +2443,8 @@ mod cpi_stack_tests {
         }
         let s = stacked(&b.finish());
         assert!(
-            s.execute.get() > s.l2_miss.get() + s.l1_miss.get(),
+            s[StallCause::Execute as usize]
+                > s[StallCause::L2Miss as usize] + s[StallCause::L1Miss as usize],
             "serial divides blame execution"
         );
     }
@@ -2483,33 +2454,12 @@ mod cpi_stack_tests {
         let mut core = Core::new(CoreConfig::sparc64_v(), 0);
         let mut stream = trace.stream();
         let _ = core.run(&mut mem, &mut stream);
-        (core.stats().cpi, core.stats().cycles.get())
+        (core.stats().cpi(), core.stats().cycles.get())
     }
 
     #[test]
     fn topdown_leaves_conserve_cycles_on_mixed_workload() {
-        let mut b = TraceBuilder::new(0x10_0000);
-        let mut x = 3u64;
-        for i in 0..300u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            b.push(Instr::load(
-                Reg::int(1),
-                Reg::int(2),
-                (0x100_0000 + x % (64 << 20)) & !7,
-                MemWidth::B8,
-            ));
-            b.push(Instr::alu(OpClass::IntAlu, Reg::int(3), &[Reg::int(1)]));
-            b.push(Instr::alu(OpClass::FpDiv, Reg::fp(1), &[Reg::fp(1)]));
-            b.push(Instr::store(
-                Reg::int(3),
-                Reg::int(2),
-                0x80_0000 + (i % 64) * 8,
-                MemWidth::B8,
-            ));
-            let fall_through = b.pc() + 4;
-            b.push(Instr::branch_cond(i % 3 == 0, fall_through));
-        }
-        let (cpi, cycles) = topdown(&b.finish());
+        let (cpi, cycles) = topdown(&mixed_workload());
         assert!(
             cpi.conserves(cycles),
             "leaves sum {} must equal cycles {cycles}: {cpi:?}",
@@ -2584,8 +2534,8 @@ mod cpi_stack_tests {
     #[test]
     fn topdown_agrees_with_skipping_disabled() {
         // The same workload stepped cycle-by-cycle must attribute every
-        // leaf identically to the skipping run (skip-stability of every
-        // cpi_blame input).
+        // blame pair identically to the skipping run (skip-stability of
+        // every blame input).
         let mut b = TraceBuilder::new(0x10_0000);
         let mut x = 5u64;
         for _ in 0..300 {
@@ -2609,7 +2559,7 @@ mod cpi_stack_tests {
             core.set_skip(skip);
             let mut stream = t.stream();
             core.run(&mut mem, &mut stream);
-            core.stats().cpi
+            (core.stats().cpi(), core.stats().stalls())
         };
         assert_eq!(run(true), run(false));
     }

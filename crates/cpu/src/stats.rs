@@ -1,6 +1,6 @@
 //! Core pipeline statistics.
 
-use s64v_observe::CpiStack;
+use s64v_observe::{CpiLeaf, CpiStack, CPI_LEAVES};
 use s64v_stats::{Counter, Histogram, Ratio};
 
 /// Why decode stalled (first blocking resource wins, checked in pipeline
@@ -19,92 +19,30 @@ pub enum DecodeStall {
     StoreQueue,
 }
 
-/// Where a zero-commit cycle's blame lands (head-of-window attribution —
-/// an online alternative to the paper's idealized-model breakdown, §4.2).
+/// Where a cycle's blame lands in the 7-way head-of-window stack (an
+/// online alternative to the paper's idealized-model breakdown, §4.2).
+/// The discriminant is the index into [`CoreStats::stalls`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(usize)]
 pub enum StallCause {
     /// Instructions retired this cycle (not a stall).
-    Busy,
+    Busy = 0,
     /// Window head is a load waiting on an off-chip (L2-miss) fill.
-    L2Miss,
+    L2Miss = 1,
     /// Window head is a load waiting on an L1-miss/L2-hit fill.
-    L1Miss,
+    L1Miss = 2,
     /// Window head is executing (or waiting to finish executing).
-    Execute,
+    Execute = 3,
     /// Window head sits in a reservation station waiting for operands.
-    Dispatch,
+    Dispatch = 4,
     /// Window empty because fetch is stalled on a mispredicted branch.
-    FrontendBranch,
+    FrontendBranch = 5,
     /// Window empty for any other front-end reason (I-miss, bubbles).
-    FrontendFetch,
+    FrontendFetch = 6,
 }
 
-/// Per-cause cycle counts for the online CPI stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StallCycles {
-    /// Cycles with at least one commit.
-    pub busy: Counter,
-    /// Cycles blamed on L2-miss data waits.
-    pub l2_miss: Counter,
-    /// Cycles blamed on L1-miss data waits.
-    pub l1_miss: Counter,
-    /// Cycles blamed on execution latency.
-    pub execute: Counter,
-    /// Cycles blamed on operand waits in the reservation stations.
-    pub dispatch: Counter,
-    /// Cycles blamed on mispredicted-branch fetch stalls.
-    pub frontend_branch: Counter,
-    /// Cycles blamed on other front-end starvation.
-    pub frontend_fetch: Counter,
-}
-
-impl StallCycles {
-    /// Records one cycle's blame.
-    pub fn record(&mut self, cause: StallCause) {
-        self.record_n(cause, 1);
-    }
-
-    /// Records `n` cycles of identical blame (used when a quiescent
-    /// stretch is skipped in one jump).
-    pub fn record_n(&mut self, cause: StallCause, n: u64) {
-        match cause {
-            StallCause::Busy => self.busy.add(n),
-            StallCause::L2Miss => self.l2_miss.add(n),
-            StallCause::L1Miss => self.l1_miss.add(n),
-            StallCause::Execute => self.execute.add(n),
-            StallCause::Dispatch => self.dispatch.add(n),
-            StallCause::FrontendBranch => self.frontend_branch.add(n),
-            StallCause::FrontendFetch => self.frontend_fetch.add(n),
-        }
-    }
-
-    /// (label, fraction-of-total) pairs; empty total gives zeros.
-    pub fn fractions(&self) -> [(&'static str, f64); 7] {
-        let total = (self.busy.get()
-            + self.l2_miss.get()
-            + self.l1_miss.get()
-            + self.execute.get()
-            + self.dispatch.get()
-            + self.frontend_branch.get()
-            + self.frontend_fetch.get()) as f64;
-        let f = |c: Counter| {
-            if total == 0.0 {
-                0.0
-            } else {
-                c.get() as f64 / total
-            }
-        };
-        [
-            ("busy", f(self.busy)),
-            ("L2-miss", f(self.l2_miss)),
-            ("L1-miss", f(self.l1_miss)),
-            ("execute", f(self.execute)),
-            ("dispatch", f(self.dispatch)),
-            ("frontend-branch", f(self.frontend_branch)),
-            ("frontend-fetch", f(self.frontend_fetch)),
-        ]
-    }
-}
+/// Number of [`StallCause`]s.
+pub const STALL_CAUSES: usize = 7;
 
 /// Statistics collected by one core.
 #[derive(Debug, Clone)]
@@ -144,12 +82,11 @@ pub struct CoreStats {
     pub lq_occupancy: Histogram,
     /// Store-queue occupancy sampled each cycle.
     pub sq_occupancy: Histogram,
-    /// Online CPI-stack attribution (head-of-window blame per cycle).
-    pub stall_cycles: StallCycles,
-    /// Top-down hierarchical CPI accounting: every cycle attributed to
-    /// exactly one taxonomy leaf (`s64v-observe::cpi`). Conservation
-    /// (`cpi.total() == cycles`) is audited in checked mode.
-    pub cpi: CpiStack,
+    /// Cycles per (top-down leaf, 7-way cause) blame pair. Every cycle
+    /// is attributed to exactly one pair, so both projections
+    /// ([`CoreStats::cpi`], [`CoreStats::stalls`]) sum to `cycles`;
+    /// checked mode audits that.
+    blame: [[u64; STALL_CAUSES]; CPI_LEAVES],
 }
 
 impl CoreStats {
@@ -174,9 +111,31 @@ impl CoreStats {
             window_occupancy: Histogram::new(window as u64),
             lq_occupancy: Histogram::new(lq as u64),
             sq_occupancy: Histogram::new(sq as u64),
-            stall_cycles: StallCycles::default(),
-            cpi: CpiStack::default(),
+            blame: [[0; STALL_CAUSES]; CPI_LEAVES],
         }
+    }
+
+    /// Attributes `n` cycles to one blame pair (`n > 1` when a quiescent
+    /// stretch is skipped in one jump).
+    pub(crate) fn record_blame(&mut self, leaf: CpiLeaf, cause: StallCause, n: u64) {
+        self.blame[leaf.index()][cause as usize] += n;
+    }
+
+    /// The top-down CPI stack (`s64v-observe::cpi`): cycles per leaf.
+    pub fn cpi(&self) -> CpiStack {
+        CpiStack::from_cells(self.blame.map(|row| row.iter().sum()))
+    }
+
+    /// The 7-way stall mix: cycles per cause, indexed by [`StallCause`]
+    /// discriminant.
+    pub fn stalls(&self) -> [u64; STALL_CAUSES] {
+        let mut mix = [0; STALL_CAUSES];
+        for row in &self.blame {
+            for (total, n) in mix.iter_mut().zip(row) {
+                *total += n;
+            }
+        }
+        mix
     }
 
     /// Records a decode stall.

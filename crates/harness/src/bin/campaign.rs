@@ -105,6 +105,7 @@ use s64v_harness::validate::{
     assess, full_point, sampled_points, validate_workloads, SampleOpts, DEFAULT_TOLERANCE,
 };
 use s64v_observe::json::Value;
+use s64v_observe::CpiStack;
 use s64v_stats::Z95;
 use s64v_workloads::SuiteKind;
 use std::io::{BufRead, Write};
@@ -154,7 +155,7 @@ fn check_artifact(path: &str) -> Result<(), String> {
             return Err("no interval samples".to_string());
         }
         for (i, line) in text.lines().enumerate() {
-            Value::parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
+            check_interval_sample(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         }
     } else if path.ends_with(".cpi.json") {
         // A top-down CPI artifact must conserve: its 16 leaves sum
@@ -175,6 +176,42 @@ fn check_artifact(path: &str) -> Result<(), String> {
         ExploreReport::parse(payload)?;
     } else {
         return Err("unknown artifact extension".to_string());
+    }
+    Ok(())
+}
+
+/// Validates one `.metrics.jsonl` row: every CPU's windowed `cpi` stack
+/// must parse and its leaves must sum to the window length.
+fn check_interval_sample(line: &str) -> Result<(), String> {
+    let row = Value::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    let cycle = |key: &str| {
+        row.get(key)
+            .and_then(Value::as_i64)
+            .filter(|c| *c >= 0)
+            .ok_or(format!("missing or negative {key}"))
+    };
+    let (start, end) = (cycle("start")?, cycle("end")?);
+    let window = end
+        .checked_sub(start)
+        .filter(|w| *w > 0)
+        .ok_or(format!("empty window {start}..{end}"))? as u64;
+    let cpus = row
+        .get("cpus")
+        .and_then(Value::as_array)
+        .filter(|c| !c.is_empty())
+        .ok_or("missing or empty cpus array")?;
+    for (i, cpu) in cpus.iter().enumerate() {
+        let stack = cpu
+            .get("cpi")
+            .ok_or("missing cpi".to_string())
+            .and_then(CpiStack::from_value)
+            .map_err(|e| format!("cpu {i}: {e}"))?;
+        if !stack.conserves(window) {
+            return Err(format!(
+                "cpu {i}: {} cycles attributed in a {window}-cycle window",
+                stack.total()
+            ));
+        }
     }
     Ok(())
 }
@@ -479,11 +516,12 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
     // SIGINT that arrives while no query is pending; queries themselves
     // run synchronously here, so an interrupt mid-query finishes that
     // query (caches and journals flush per write) before draining.
-    let (line_tx, line_rx) = mpsc::channel::<std::io::Result<String>>();
+    let (line_tx, line_rx) = mpsc::channel::<std::io::Result<Result<String, String>>>();
     std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            if line_tx.send(line).is_err() {
+        let mut stdin = std::io::stdin().lock();
+        while let Some(line) = read_query_line(&mut stdin).transpose() {
+            let failed = line.is_err();
+            if line_tx.send(line).is_err() || failed {
                 break;
             }
         }
@@ -499,7 +537,12 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
             break;
         }
         let line = match line_rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(Ok(l)) => l,
+            Ok(Ok(Ok(l))) => l,
+            Ok(Ok(Err(e))) => {
+                eprintln!("serve: bad query: {e}");
+                failed_queries += 1;
+                continue;
+            }
             Ok(Err(e)) => {
                 eprintln!("serve: stdin error: {e}");
                 clean_drain = false;
@@ -550,6 +593,47 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
     } else {
         0
     });
+}
+
+/// Longest query line `serve` accepts, in bytes. Real queries are a spec
+/// path or an inline spec of a few hundred bytes; the cap bounds what one
+/// hostile line can make the reader buffer.
+const MAX_QUERY_LINE: usize = 4 << 20;
+
+/// Reads one newline-terminated query line as raw bytes. `Ok(None)` is
+/// EOF. A line longer than [`MAX_QUERY_LINE`] (whose remainder is
+/// skipped without being buffered) or not valid UTF-8 comes back as
+/// `Ok(Some(Err(reason)))`, so the caller rejects it and reads on.
+fn read_query_line(input: &mut impl BufRead) -> std::io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    let mut too_long = false;
+    loop {
+        let buf = input.fill_buf()?;
+        if buf.is_empty() {
+            if line.is_empty() && !too_long {
+                return Ok(None);
+            }
+            break;
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let end = newline.unwrap_or(buf.len());
+        if !too_long && line.len() + end > MAX_QUERY_LINE {
+            too_long = true;
+            line = Vec::new();
+        }
+        if !too_long {
+            line.extend_from_slice(&buf[..end]);
+        }
+        input.consume(newline.map_or(end, |i| i + 1));
+        if newline.is_some() {
+            break;
+        }
+    }
+    Ok(Some(if too_long {
+        Err(format!("query line longer than {MAX_QUERY_LINE} bytes"))
+    } else {
+        String::from_utf8(line).map_err(|_| "query line is not UTF-8".to_string())
+    }))
 }
 
 /// The soak gate's fixed campaign: small, fast, varied enough that

@@ -35,7 +35,7 @@ use s64v_core::{
     compare, CycleBudget, HarnessFaultClass, ObserveConfig, PerformanceModel, RunObservation,
     RunOptions, RunResult, SimError,
 };
-use s64v_observe::{perfetto_json, render_pipeline, to_jsonl};
+use s64v_observe::{perfetto_json, render_pipeline, to_jsonl, CpiStack};
 use s64v_trace::VecTrace;
 use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
 use std::collections::{HashMap, VecDeque};
@@ -314,23 +314,12 @@ fn point_records(point: &SimPoint) -> u64 {
 fn metrics_from(r: &RunResult) -> PointMetrics {
     let pair = |ratio: s64v_stats::Ratio| (ratio.numerator(), ratio.denominator());
     let mut stalls = [0u64; 7];
-    let mut cpi = [0u64; 16];
+    let mut cpi = CpiStack::default();
     for c in &r.core_stats {
-        let s = &c.stall_cycles;
-        for (slot, counter) in stalls.iter_mut().zip([
-            s.busy,
-            s.l2_miss,
-            s.l1_miss,
-            s.execute,
-            s.dispatch,
-            s.frontend_branch,
-            s.frontend_fetch,
-        ]) {
-            *slot += counter.get();
+        for (slot, n) in stalls.iter_mut().zip(c.stalls()) {
+            *slot += n;
         }
-        for (slot, cell) in cpi.iter_mut().zip(c.cpi.cells) {
-            *slot += cell;
-        }
+        cpi.merge(&c.cpi());
     }
     PointMetrics {
         cycles: r.cycles,
@@ -346,7 +335,7 @@ fn metrics_from(r: &RunResult) -> PointMetrics {
         bus_transactions: r.bus_transactions,
         mean_load_latency: r.mean_load_latency(),
         stalls,
-        cpi,
+        cpi: cpi.cells,
         reference_cycles: 0,
         same_work: true,
     }

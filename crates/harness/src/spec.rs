@@ -213,8 +213,10 @@ pub struct PointMetrics {
     pub bus_transactions: u64,
     /// Mean load-to-data latency in cycles, weighted by loads.
     pub mean_load_latency: f64,
-    /// Zero-commit-cycle blame in `StallCycles` order: busy, l2-miss,
-    /// l1-miss, execute, dispatch, frontend-branch, frontend-fetch.
+    /// The 7-way stall mix, summed across CPUs, in `StallCause` order:
+    /// busy, l2-miss, l1-miss, execute, dispatch, frontend-branch,
+    /// frontend-fetch. It and `cpi` are two projections of the same
+    /// per-cycle blame, so both sum to total core cycles.
     pub stalls: [u64; 7],
     /// Top-down CPI stack in [`s64v_core::CpiLeaf`] cell order, summed
     /// across CPUs. Each core's stack conserves its cycle count, so these

@@ -160,3 +160,50 @@ fn serve_rejects_a_hostile_deeply_nested_query_and_drains() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(out.stdout.is_empty(), "no report for a rejected query");
 }
+
+#[test]
+fn serve_rejects_non_utf8_and_over_cap_lines_and_keeps_serving() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    // One invalid byte once ended `serve` with a stdin error, and a line
+    // had no length cap. Both must now be rejected queries, with the
+    // query after them still answered.
+    let mut input = b"\xff\n".to_vec();
+    input.extend(std::iter::repeat_n(b' ', 5 << 20));
+    input.push(b'\n');
+    input.extend_from_slice(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../specs/ci_smoke.explore.json\n"
+        )
+        .as_bytes(),
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["serve", "--no-cache", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn campaign serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(&input)
+        .expect("write queries");
+    let out = child.wait_with_output().expect("serve exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("query line is not UTF-8"), "{stderr}");
+    assert!(stderr.contains("query line longer than"), "{stderr}");
+    assert!(
+        stderr.contains("serve: 1 answered, 2 rejected"),
+        "serve must answer past both bad lines: {stderr}"
+    );
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).lines().count(),
+        1,
+        "one report line for the one good query"
+    );
+}

@@ -286,6 +286,16 @@ impl CpiStack {
         }
     }
 
+    /// The cycles attributed since `earlier`, an earlier snapshot of the
+    /// same growing stack (a windowed stack).
+    pub fn since(&self, earlier: &CpiStack) -> CpiStack {
+        let mut window = *self;
+        for (mine, before) in window.cells.iter_mut().zip(earlier.cells) {
+            *mine -= before;
+        }
+        window
+    }
+
     /// Cycles attributed to one group (sum of its leaves).
     pub fn group_total(&self, group: CpiGroup) -> u64 {
         CpiLeaf::ALL

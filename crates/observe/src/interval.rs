@@ -4,23 +4,15 @@
 //! *when*. Every `interval` cycles (10k by default) the sampler in
 //! `s64v-core` emits one [`IntervalSample`]: committed instructions and
 //! IPC over the window, instantaneous window/RS/LSQ/MSHR occupancies at
-//! the window boundary, bus traffic deltas, and the per-window
-//! stall-cause mix (the online CPI stack, windowed). Samples serialize
-//! one-per-line as JSONL via [`to_jsonl`].
+//! the window boundary, bus traffic deltas, and the per-window top-down
+//! CPI stack (the cycles each [`CpiStack`] leaf gained in the window).
+//! Samples serialize one-per-line as JSONL via [`to_jsonl`]; each CPU's
+//! stack is a `cpi` object keyed by `group/leaf` path, the same encoding
+//! as the `.cpi.json` point artifacts, and its leaves sum to the window
+//! length.
 
+use crate::cpi::CpiStack;
 use crate::json::Value;
-
-/// Stall-cause labels, index-aligned with the `[u64; 7]` mixes below
-/// (the `s64v-cpu` `StallCycles` field order).
-pub const STALL_LABELS: [&str; 7] = [
-    "busy",
-    "l2_miss",
-    "l1_miss",
-    "execute",
-    "dispatch",
-    "frontend_branch",
-    "frontend_fetch",
-];
 
 /// One CPU's share of an interval sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +31,8 @@ pub struct CpuInterval {
     pub sq_occ: usize,
     /// MSHR occupancy at the boundary, `[l1i, l1d, l2]`.
     pub mshr_occ: [usize; 3],
-    /// Per-cause stall cycles in the window ([`STALL_LABELS`] order).
-    pub stalls: [u64; 7],
+    /// Cycles attributed per top-down leaf in the window.
+    pub cpi: CpiStack,
 }
 
 /// One sampling window across the whole system.
@@ -71,10 +63,6 @@ impl IntervalSample {
             .cpus
             .iter()
             .map(|c| {
-                let stalls = STALL_LABELS
-                    .iter()
-                    .zip(c.stalls)
-                    .fold(Value::obj(), |o, (label, n)| o.field(label, n));
                 Value::obj()
                     .field("committed", c.committed)
                     .field("ipc", c.ipc)
@@ -86,7 +74,7 @@ impl IntervalSample {
                         "mshr_occ",
                         Value::Arr(c.mshr_occ.iter().map(|&m| Value::from(m)).collect()),
                     )
-                    .field("stalls", stalls)
+                    .field("cpi", c.cpi.to_value())
             })
             .collect();
         Value::obj()
@@ -132,7 +120,9 @@ mod tests {
                 lq_occ: 3,
                 sq_occ: 2,
                 mshr_occ: [0, 2, 1],
-                stalls: [9_000, 400, 300, 200, 70, 20, 10],
+                cpi: CpiStack::from_cells([
+                    9_000, 10, 0, 20, 0, 20, 0, 0, 0, 200, 0, 300, 400, 0, 0, 50,
+                ]),
             }],
         }
     }
@@ -146,12 +136,8 @@ mod tests {
             let v = Value::parse(line).expect("valid JSON row");
             assert_eq!(v.get("end").and_then(Value::as_i64), Some(10_000));
             let cpu = &v.get("cpus").and_then(Value::as_array).expect("cpus")[0];
-            assert_eq!(
-                cpu.get("stalls")
-                    .and_then(|s| s.get("busy"))
-                    .and_then(Value::as_i64),
-                Some(9_000)
-            );
+            let cpi = CpiStack::from_value(cpu.get("cpi").expect("cpi")).expect("leaves");
+            assert_eq!(cpi, sample().cpus[0].cpi);
             assert_eq!(
                 cpu.get("mshr_occ").and_then(Value::as_array).unwrap().len(),
                 3
@@ -161,9 +147,9 @@ mod tests {
 
     #[test]
     fn stall_sum_matches_window_length_in_the_fixture() {
-        // The model invariant (one cause recorded per timed cycle) means
-        // a full window's stall mix sums to the window length.
+        // The model invariant (one blame recorded per timed cycle) means
+        // a full window's CPI stack sums to the window length.
         let s = sample();
-        assert_eq!(s.cpus[0].stalls.iter().sum::<u64>(), s.end - s.start);
+        assert!(s.cpus[0].cpi.conserves(s.end - s.start));
     }
 }

@@ -9,7 +9,7 @@
 //! - the per-instruction stage record ([`InstrTimeline`]) shared by the
 //!   core's pipeline trace and the exporters;
 //! - interval metrics ([`IntervalSample`]): windowed IPC, occupancy, bus
-//!   utilization and stall-cause time series, serialized as JSONL;
+//!   utilization and windowed top-down CPI stacks, serialized as JSONL;
 //! - exporters: a Chrome/Perfetto trace-event JSON builder
 //!   ([`perfetto_json`]) and a Konata-style ASCII pipeline-diagram
 //!   renderer ([`render_pipeline`]);
@@ -35,7 +35,7 @@ pub use cpi::{CpiGroup, CpiLeaf, CpiStack, MemBlame, CPI_LEAVES};
 pub use diagram::render_pipeline;
 pub use event::{BusId, CacheLevel, CohAction, EventLog, ObsEvent, Probe};
 pub use folded::{folded_line, folded_stack};
-pub use interval::{to_jsonl, CpuInterval, IntervalSample, STALL_LABELS};
+pub use interval::{to_jsonl, CpuInterval, IntervalSample};
 pub use perfetto::{perfetto_json, perfetto_trace};
 pub use stage::InstrTimeline;
 

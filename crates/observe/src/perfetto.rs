@@ -165,6 +165,7 @@ pub fn perfetto_json(obs: &RunObservation) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpi::CpiStack;
     use crate::interval::{CpuInterval, IntervalSample};
     use crate::stage::InstrTimeline;
     use s64v_isa::OpClass;
@@ -203,7 +204,7 @@ mod tests {
                     lq_occ: 1,
                     sq_occ: 0,
                     mshr_occ: [0, 1, 0],
-                    stalls: [90, 5, 3, 2, 0, 0, 0],
+                    cpi: CpiStack::from_cells([90, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 3, 5, 0, 0, 0]),
                 }],
             }],
             timelines: vec![vec![

@@ -27,6 +27,20 @@ cargo run --release -p s64v-harness --bin campaign -- \
     --checked --cache-dir "$CHECKED_SCRATCH/cache" --quiet > /dev/null
 rm -rf "$CHECKED_SCRATCH"
 
+echo "== CPI figure identity (cpi_stack + cpi_topdown must match results/)"
+# Both CPI figures are projections of one per-cycle blame decision; at
+# default sizes and seed 42 they must reproduce the committed CSVs byte
+# for byte (about 6 s in release on a 2-core host).
+CPI_SCRATCH=target/ci-cpi
+rm -rf "$CPI_SCRATCH"
+env -u S64V_RECORDS -u S64V_WARMUP \
+S64V_SEED=42 S64V_RESULTS_DIR="$CPI_SCRATCH/results" \
+cargo run --release -p s64v-harness --bin campaign -- \
+    --figures cpi_stack,cpi_topdown --cache-dir "$CPI_SCRATCH/cache" --quiet > /dev/null
+diff results/cpi_stack.csv "$CPI_SCRATCH/results/cpi_stack.csv"
+diff results/cpi_topdown.csv "$CPI_SCRATCH/results/cpi_topdown.csv"
+rm -rf "$CPI_SCRATCH"
+
 echo "== observability smoke campaign (trace + metrics artifacts must validate)"
 OBS_SCRATCH=target/ci-observe
 rm -rf "$OBS_SCRATCH"

@@ -59,24 +59,15 @@ fn counters_are_mutually_consistent() {
             mem.l2_demand.accesses.get() <= mem.l2_all.accesses.get(),
             "{kind}"
         );
-        // The CPI stack accounts for every cycle exactly once.
-        let s = &core.stall_cycles;
-        let blamed: u64 = [
-            s.busy,
-            s.l2_miss,
-            s.l1_miss,
-            s.execute,
-            s.dispatch,
-            s.frontend_branch,
-            s.frontend_fetch,
-        ]
-        .iter()
-        .map(|c| c.get())
-        .sum();
-        assert_eq!(
-            blamed,
-            core.cycles.get(),
+        // Both CPI projections account for every cycle exactly once.
+        assert!(
+            core.cpi().conserves(core.cycles.get()),
             "{kind}: CPI stack covers all cycles"
+        );
+        assert_eq!(
+            core.stalls().iter().sum::<u64>(),
+            core.cycles.get(),
+            "{kind}: stall mix covers all cycles"
         );
         // Occupancies respect the hardware limits.
         assert!(core.window_occupancy.max_seen() <= 64, "{kind}");
