@@ -53,7 +53,7 @@ pub use faultinject::{ChaosPlan, FaultClass, FaultPlan, HarnessFaultClass};
 pub use fingerprint::{config_fingerprint, Fingerprint, StableHasher, MODEL_FINGERPRINT_VERSION};
 pub use integrity::{Auditor, Component, SimError};
 pub use knobs::{apply_knob, apply_knobs, knob_names, knob_value, Knob, KNOBS};
-pub use model::{CycleBudget, PerformanceModel, RunOptions};
+pub use model::{CycleBudget, PerformanceModel, RunOptions, WarmState};
 pub use observe::{ObserveConfig, Observer};
 pub use reference::{compare, ModelCheck, ReferenceMachine};
 pub use s64v_observe::RunObservation;

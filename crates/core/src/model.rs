@@ -8,6 +8,7 @@ use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
 use s64v_observe::RunObservation;
 use s64v_trace::{SliceStream, TraceRecord, TraceStream, VecTrace};
+use std::ops::Range;
 
 /// Cooperative supervision of one run: a simulated-cycle ceiling and an
 /// external cancellation flag, both polled from inside the cycle loop.
@@ -227,6 +228,99 @@ fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) -> RunResult 
     }
 }
 
+/// Records each CPU warms before the next CPU takes its turn: the
+/// warm-up interleaves CPUs in chunks so SMP shared state mixes.
+const WARM_CHUNK: usize = 1024;
+
+/// The machine state functional warming builds: the memory system plus
+/// every core's branch predictor (the only core state [`Core::warm`]
+/// touches). No cycle has elapsed and nothing is observed.
+///
+/// [`PerformanceModel::try_run`] builds one from record 0 for every run.
+/// The state is `Clone`, so one functional pass over a trace can serve
+/// many sampled windows: advance it to each window start in turn and
+/// hand a clone to [`PerformanceModel::try_run_warmed`] (the "live-points"
+/// idea of TurboSMARTS). A clone continues exactly as the original would,
+/// so each window's result is the one a fresh warm-up from record 0
+/// gives.
+///
+/// # Examples
+///
+/// ```
+/// use s64v_core::{model::WarmState, PerformanceModel, RunOptions, SystemConfig};
+/// use s64v_workloads::{Suite, SuiteKind};
+///
+/// let config = SystemConfig::sparc64_v();
+/// let model = PerformanceModel::new(config.clone());
+/// let t = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(12_000, 1);
+/// let recs = t.records();
+/// let mut warm = WarmState::new(&config);
+/// warm.advance(&[recs], 0..8_000);
+/// let window = &recs[8_000..10_000];
+/// let (shared, _) = model
+///     .try_run_warmed(warm.clone(), &[window], RunOptions::default(), None)
+///     .unwrap();
+/// let (fresh, _) = model
+///     .try_run(&[&recs[..10_000]], 8_000, RunOptions::default(), None)
+///     .unwrap();
+/// assert_eq!(shared.cycles, fresh.cycles);
+/// ```
+#[derive(Debug)]
+pub struct WarmState {
+    mem: MemorySystem,
+    cores: Vec<Core>,
+}
+
+impl WarmState {
+    /// The cold machine of `config`: nothing warmed yet.
+    pub fn new(config: &SystemConfig) -> Self {
+        WarmState {
+            mem: MemorySystem::new(config.mem.clone(), config.cpus),
+            cores: (0..config.cpus)
+                .map(|i| Core::new(config.core.clone(), i))
+                .collect(),
+        }
+    }
+
+    /// Functionally replays records `range` of every CPU's trace, CPUs
+    /// taking turns in chunks aligned to multiples of 1024 records. On
+    /// one CPU, advancing `a..b` then `b..c` equals advancing `a..c`; on
+    /// several it does when `b` is a multiple of 1024.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a trace count other than the CPU count, or if `range`
+    /// runs past the end of a trace.
+    pub fn advance(&mut self, traces: &[&[TraceRecord]], range: Range<usize>) {
+        assert_eq!(
+            traces.len(),
+            self.cores.len(),
+            "need one trace per CPU ({} != {})",
+            traces.len(),
+            self.cores.len()
+        );
+        let mut pos = range.start;
+        while pos < range.end {
+            let end = ((pos / WARM_CHUNK + 1) * WARM_CHUNK).min(range.end);
+            for (core, trace) in self.cores.iter_mut().zip(traces) {
+                for rec in &trace[pos..end] {
+                    core.warm(&mut self.mem, rec);
+                }
+            }
+            pos = end;
+        }
+    }
+}
+
+impl Clone for WarmState {
+    fn clone(&self) -> Self {
+        WarmState {
+            mem: self.mem.clone(),
+            cores: self.cores.iter().map(Core::warm_clone).collect(),
+        }
+    }
+}
+
 /// The trace-driven performance model: a [`SystemConfig`] ready to run
 /// traces.
 ///
@@ -263,9 +357,10 @@ impl PerformanceModel {
     /// method forwards to.
     ///
     /// The first `warmup` records of every stream functionally warm the
-    /// caches, TLBs and branch predictors (interleaved across CPUs so
-    /// shared lines end in a realistic mixed state; the paper traces
-    /// workloads at steady state, §2.2); only the remainder is timed. The
+    /// caches, TLBs and branch predictors into a fresh [`WarmState`]
+    /// (interleaved across CPUs so shared lines end in a realistic mixed
+    /// state; the paper traces workloads at steady state, §2.2); only the
+    /// remainder is timed, by [`PerformanceModel::try_run_warmed`]. The
     /// run ends when every CPU has drained; CPUs that finish early sit
     /// idle (their commit counts still contribute). A sampled window is
     /// the slice `records[start - warm..start + len]` with warm-up `warm`.
@@ -291,13 +386,32 @@ impl PerformanceModel {
         observe: Option<ObserveConfig>,
     ) -> Result<(RunResult, RunObservation), SimError> {
         let records: Vec<&[TraceRecord]> = traces.iter().map(AsRef::as_ref).collect();
-        self.run(&records, warmup, opts, observe)
+        assert!(
+            records.iter().all(|t| t.len() > warmup),
+            "warmup must leave records to time"
+        );
+        let mut warm = WarmState::new(&self.config);
+        warm.advance(&records, 0..warmup);
+        let timed: Vec<&[TraceRecord]> = records.iter().map(|t| &t[warmup..]).collect();
+        self.try_run_warmed(warm, &timed, opts, observe)
     }
 
-    fn run(
+    /// Times `traces` (the records after the warm-up, one slice per CPU)
+    /// on the machine `warm` left behind: the detailed body of
+    /// [`PerformanceModel::try_run`], which builds `warm` from record 0.
+    /// A caller holding a [`WarmState`] already advanced to a window's
+    /// start (one functional pass shared by every window of a sampled
+    /// plan) gets the same result as the `try_run` that replays the
+    /// warm-up itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm` was built for another configuration, on a stream
+    /// count other than the CPU count, or on an empty stream.
+    pub fn try_run_warmed(
         &self,
+        warm: WarmState,
         traces: &[&[TraceRecord]],
-        warmup: usize,
         opts: RunOptions,
         observe: Option<ObserveConfig>,
     ) -> Result<(RunResult, RunObservation), SimError> {
@@ -309,32 +423,19 @@ impl PerformanceModel {
             self.config.cpus
         );
         assert!(
-            traces.iter().all(|t| t.len() > warmup),
+            traces.iter().all(|t| !t.is_empty()),
             "warmup must leave records to time"
         );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
-        let mut cores: Vec<Core> = (0..self.config.cpus)
-            .map(|i| Core::new(self.config.core.clone(), i))
-            .collect();
-
-        // Interleave the warm-up in chunks so SMP shared state mixes.
-        let chunk = 1024;
-        let mut pos = 0;
-        while pos < warmup {
-            let end = (pos + chunk).min(warmup);
-            for (core, trace) in cores.iter_mut().zip(traces) {
-                for rec in &trace[pos..end] {
-                    core.warm(&mut mem, rec);
-                }
-            }
-            pos = end;
-        }
-
+        assert!(
+            warm.cores.len() == self.config.cpus
+                && warm.mem.config() == &self.config.mem
+                && warm.cores.iter().all(|c| c.config() == &self.config.core),
+            "warm state built for another configuration"
+        );
+        let WarmState { mut mem, mut cores } = warm;
         let mut observer = observe.map(|ocfg| Observer::new(ocfg, &mut cores, &mut mem));
-        let mut streams: Vec<SliceStream<'_>> = traces
-            .iter()
-            .map(|t| SliceStream::new(&t[warmup..]))
-            .collect();
+        let mut streams: Vec<SliceStream<'_>> =
+            traces.iter().map(|t| SliceStream::new(t)).collect();
         let cycles = drive(&mut cores, &mut mem, &mut streams, opts, observer.as_mut())?;
         let result = collect_result(cycles, &cores, &mem);
         let observation = match observer {

@@ -119,13 +119,19 @@ impl Core {
     /// Creates a core with the given configuration and CPU id (its index
     /// in the shared [`MemorySystem`]).
     pub fn new(cfg: CoreConfig, core_id: usize) -> Self {
+        let bht = Bht::new(cfg.bht);
+        Core::with_bht(cfg, core_id, bht)
+    }
+
+    /// A fresh core around an existing branch predictor.
+    fn with_bht(cfg: CoreConfig, core_id: usize, bht: Bht) -> Self {
         Core {
             rob: Rob::new(cfg.window_size),
             rs: ReservationStations::new(&cfg),
             rename_pool: RenamePool::new(cfg.int_rename_regs, cfg.fp_rename_regs),
             rename_map: RenameMap::new(),
             lsq: LoadStoreQueues::new(cfg.load_queue, cfg.store_queue),
-            bht: Bht::new(cfg.bht),
+            bht,
             stats: CoreStats::new(cfg.window_size, cfg.load_queue, cfg.store_queue),
             fetch_queue: VecDeque::new(),
             pending_rec: None,
@@ -286,6 +292,15 @@ impl Core {
         if let Some(m) = rec.instr.mem {
             mem.warm_data(self.core_id, m.addr, rec.instr.op == OpClass::Store);
         }
+    }
+
+    /// A fresh core carrying a copy of this core's branch predictor, the
+    /// only core state [`Core::warm`] touches: for a core that has only
+    /// been warmed, this is an exact copy. Pipeline, statistics, timeline
+    /// and probe all start empty, so a core that has run timed cycles
+    /// does not survive the trip.
+    pub fn warm_clone(&self) -> Core {
+        Core::with_bht(self.cfg.clone(), self.core_id, self.bht.clone())
     }
 
     /// Functional fast-forward: replays a stream through [`Core::warm`]

@@ -33,10 +33,10 @@ use crate::spec::{CampaignSpec, PointMetrics, SimPoint, WorkUnit};
 use crate::supervise::{CacheLock, ChaosInjector, Watchdog};
 use s64v_core::{
     compare, CycleBudget, HarnessFaultClass, ObserveConfig, PerformanceModel, RunObservation,
-    RunOptions, RunResult, SimError,
+    RunOptions, SimError, SystemConfig, WarmState,
 };
-use s64v_observe::{perfetto_json, render_pipeline, to_jsonl, CpiStack};
-use s64v_trace::VecTrace;
+use s64v_observe::{perfetto_json, render_pipeline, to_jsonl};
+use s64v_trace::{TraceRecord, VecTrace};
 use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -175,39 +175,123 @@ type TraceKey = (SuiteKind, usize, usize, u64);
 /// nearly all reuse while bounding memory on long traces.
 const TRACE_CACHE_CAP: usize = 4;
 
-/// One trace's cache slot: an `Arc`'d `OnceLock` so concurrent first
-/// requests block on a single generation.
-type TraceSlot = Arc<std::sync::OnceLock<Arc<VecTrace>>>;
+/// Idle warm cursors a trace slot keeps: enough for each of a few
+/// workers that interleave one plan's windows to continue a pass of its
+/// own. Each is about 1–2 MiB.
+const CURSORS_PER_TRACE: usize = 4;
 
-fn trace_cache() -> &'static Mutex<HashMap<TraceKey, TraceSlot>> {
-    static CACHE: std::sync::OnceLock<Mutex<HashMap<TraceKey, TraceSlot>>> =
-        std::sync::OnceLock::new();
+/// One trace's cache slot, shared through an `Arc`: the trace behind a
+/// `OnceLock` (concurrent first requests block on a single generation)
+/// and the idle functional passes over it, oldest first. Both live and
+/// die with the slot.
+#[derive(Default)]
+struct TraceSlot {
+    trace: std::sync::OnceLock<Arc<VecTrace>>,
+    cursors: Mutex<Vec<WarmCursor>>,
+}
+
+/// One functional pass over a slot's trace, parked between the windows
+/// that continue it: `state` is `config`'s machine after warming records
+/// `from..pos`.
+struct WarmCursor {
+    config: SystemConfig,
+    from: usize,
+    pos: usize,
+    state: WarmState,
+}
+
+impl TraceSlot {
+    /// The slot's trace, generated on first request.
+    fn trace(&self, suite: SuiteKind, index: usize, records: usize, seed: u64) -> &VecTrace {
+        self.trace.get_or_init(|| {
+            Arc::new(Suite::preset(suite).programs()[index].generate(records, seed))
+        })
+    }
+
+    /// The machine after warming `recs[from..start]` on `config`.
+    ///
+    /// The window takes the idle cursor of the same config and `from`
+    /// that is furthest along without passing `start`, advances it to
+    /// `start` and clones it, so the windows of a plan share functional
+    /// passes instead of each replaying its whole warm-up. With no such
+    /// cursor (the plan's first window on this worker, a bounded warm-up,
+    /// a window behind every pass) it warms fresh, as a lone window
+    /// would. Either way its cursor then goes back to the slot, the
+    /// oldest idle one making room. A cursor is advanced outside the lock
+    /// and only returned once whole, so a panic drops it and a
+    /// half-advanced state is never reused. Warming is a pure function of
+    /// the records replayed, so every path returns the same state.
+    fn warm_state(
+        &self,
+        recs: &[TraceRecord],
+        config: &SystemConfig,
+        from: usize,
+        start: usize,
+    ) -> WarmState {
+        let idle = || self.cursors.lock().unwrap_or_else(|e| e.into_inner());
+        let taken = {
+            let mut idle = idle();
+            idle.iter()
+                .enumerate()
+                .filter(|(_, c)| c.config == *config && c.from == from && c.pos <= start)
+                .max_by_key(|(_, c)| c.pos)
+                .map(|(i, _)| i)
+                .map(|i| idle.remove(i))
+        };
+        let mut cursor = taken.unwrap_or_else(|| WarmCursor {
+            config: config.clone(),
+            from,
+            pos: from,
+            state: WarmState::new(config),
+        });
+        cursor.state.advance(&[recs], cursor.pos..start);
+        cursor.pos = start;
+        let state = cursor.state.clone();
+        let mut idle = idle();
+        idle.push(cursor);
+        if idle.len() > CURSORS_PER_TRACE {
+            idle.remove(0);
+        }
+        state
+    }
+}
+
+/// The process-wide trace slots, and the key requested last.
+#[derive(Default)]
+struct TraceCache {
+    slots: HashMap<TraceKey, Arc<TraceSlot>>,
+    last: Option<TraceKey>,
+}
+
+fn trace_cache() -> &'static Mutex<TraceCache> {
+    static CACHE: std::sync::OnceLock<Mutex<TraceCache>> = std::sync::OnceLock::new();
     CACHE.get_or_init(Default::default)
 }
 
-/// Returns the `(suite, index)` program's generated trace of `records`
-/// records, shared process-wide. Every window point of one sampled plan
-/// needs the *same* full trace; generating it once and handing out
-/// `Arc`s keeps a sampled campaign's generation cost O(trace) instead
-/// of O(windows × trace). Generation is deterministic, so sharing can
-/// never change results; concurrent first requests block on one
-/// `OnceLock` so the trace is built exactly once.
-fn shared_trace(suite: SuiteKind, index: usize, records: usize, seed: u64) -> Arc<VecTrace> {
+/// Returns the process-wide slot of the `(suite, index)` program's trace
+/// of `records` records. Every window point of one sampled plan needs
+/// the *same* full trace; generating it once and handing out `Arc`s
+/// keeps a sampled campaign's generation cost O(trace) instead of
+/// O(windows × trace). Generation is deterministic, so sharing can never
+/// change results.
+fn shared_trace(suite: SuiteKind, index: usize, records: usize, seed: u64) -> Arc<TraceSlot> {
     let key = (suite, index, records, seed);
-    let slot = {
-        let mut map = trace_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() >= TRACE_CACHE_CAP && !map.contains_key(&key) {
-            // Evict everything: in-flight users keep their `Arc`s, and a
-            // campaign revisiting an evicted trace just regenerates it.
-            map.retain(|_, slot| slot.get().is_none());
-            if map.len() >= TRACE_CACHE_CAP {
-                map.clear();
-            }
+    let mut cache = trace_cache().lock().unwrap_or_else(|e| e.into_inner());
+    if cache.slots.len() >= TRACE_CACHE_CAP && !cache.slots.contains_key(&key) {
+        // Evict everything but traces still generating and the trace
+        // requested last, whose plan other workers are likely still
+        // finishing: in-flight users keep their `Arc`s, and a campaign
+        // revisiting an evicted trace just regenerates it.
+        let last = cache.last;
+        cache
+            .slots
+            .retain(|k, slot| slot.trace.get().is_none() || Some(*k) == last);
+        if cache.slots.len() >= TRACE_CACHE_CAP {
+            cache.slots.clear();
         }
-        map.entry(key).or_default().clone()
-    };
-    slot.get_or_init(|| Arc::new(Suite::preset(suite).programs()[index].generate(records, seed)))
-        .clone()
+    }
+    cache.last = Some(key);
+    Arc::clone(cache.slots.entry(key).or_default())
 }
 
 /// Runs one point to completion, returning a simulation fault (a wedged
@@ -266,24 +350,29 @@ fn run_point(
             start,
             len,
         } => {
-            // `point.records` is the *full trace length* here; only the
-            // `point.warmup` records before `start` are functionally
-            // replayed and only the window itself is timed. The trace is
-            // generated once per plan and shared across its window
-            // points, so a window's cost is O(warmup + len) no matter
-            // how long the trace is.
-            let trace = shared_trace(suite, index, point.records, point.seed);
-            let recs = trace.records();
+            // `point.records` is the *full trace length* here; the
+            // `point.warmup` records before `start` warm the machine and
+            // only the window itself is timed. The trace is generated
+            // once per plan and shared across its window points, and so
+            // are functional passes over it (see `TraceSlot::warm_state`):
+            // a warm-from-0 plan replays its trace about once per worker,
+            // not once per window, so a window costs O(len) past the
+            // first its worker runs.
             assert!(
-                len > 0 && start + len <= recs.len(),
+                len > 0 && start + len <= point.records,
                 "sampled window {start}+{len} is empty or exceeds the {}-record trace",
-                recs.len()
+                point.records
             );
             let from = start.saturating_sub(point.warmup);
-            model.try_run(&[&recs[from..start + len]], start - from, opts, None)?
+            let slot = shared_trace(suite, index, point.records, point.seed);
+            let recs = slot
+                .trace(suite, index, point.records, point.seed)
+                .records();
+            let warm = slot.warm_state(recs, &point.config, from, start);
+            model.try_run_warmed(warm, &[&recs[start..start + len]], opts, None)?
         }
     };
-    Ok((metrics_from(&r), obs))
+    Ok((PointMetrics::from(&r), obs))
 }
 
 /// Renders a traced point's pipeline diagram, one section per CPU.
@@ -299,45 +388,17 @@ fn pipeline_text(obs: &RunObservation) -> String {
 }
 
 /// Trace records a point covers (warm-up included, all CPUs). A sampled
-/// window only touches its functional warm-up (capped at the window
-/// start) plus the timed window, however long the surrounding trace is.
+/// window counts its logical warm-up (capped at the window start) plus
+/// the timed window, however long the surrounding trace is — even when
+/// a shared functional pass replayed only the records since an earlier
+/// window (see `TraceSlot::warm_state`), so the count does not depend on
+/// scheduling.
 fn point_records(point: &SimPoint) -> u64 {
     let per_stream = (point.records + point.warmup) as u64;
     match point.work {
         WorkUnit::SmpTpcc => per_stream * point.config.cpus as u64,
         WorkUnit::SampledWindow { start, len, .. } => (point.warmup.min(start) + len) as u64,
         _ => per_stream,
-    }
-}
-
-/// Flattens a [`RunResult`] into the cacheable metric set.
-fn metrics_from(r: &RunResult) -> PointMetrics {
-    let pair = |ratio: s64v_stats::Ratio| (ratio.numerator(), ratio.denominator());
-    let mut stalls = [0u64; 7];
-    let mut cpi = CpiStack::default();
-    for c in &r.core_stats {
-        for (slot, n) in stalls.iter_mut().zip(c.stalls()) {
-            *slot += n;
-        }
-        cpi.merge(&c.cpi());
-    }
-    PointMetrics {
-        cycles: r.cycles,
-        committed: r.committed,
-        l1i: pair(r.l1i_miss_ratio()),
-        l1d: pair(r.l1d_miss_ratio()),
-        l2_all: pair(r.l2_all_miss_ratio()),
-        l2_demand: pair(r.l2_demand_miss_ratio()),
-        mispredict: pair(r.mispredict_ratio()),
-        prefetches: r.prefetches_issued(),
-        move_outs: r.move_outs(),
-        bus_busy_cycles: r.bus_busy_cycles,
-        bus_transactions: r.bus_transactions,
-        mean_load_latency: r.mean_load_latency(),
-        stalls,
-        cpi: cpi.cells,
-        reference_cycles: 0,
-        same_work: true,
     }
 }
 
@@ -831,6 +892,75 @@ mod tests {
         let direct = try_execute_point(&p, RunOptions::default()).expect("clean run");
         let outcome = run_campaign(&CampaignSpec::new("unit", vec![p]), None).expect("run");
         assert_eq!(outcome.outcomes[0].metrics(), Some(&direct));
+    }
+
+    #[test]
+    fn warm_cursors_serve_windows_in_any_order() {
+        let config = SystemConfig::sparc64_v();
+        let model = PerformanceModel::new(config.clone());
+        let trace = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(12_000, 3);
+        let recs = trace.records();
+        let timed = |warm: WarmState, start: usize| {
+            let window = &recs[start..start + 1_000];
+            let (r, _) = model
+                .try_run_warmed(warm, &[window], RunOptions::default(), None)
+                .expect("clean window");
+            PointMetrics::from(&r)
+        };
+        let alone = |from: usize, start: usize| {
+            let (r, _) = model
+                .try_run(
+                    &[&recs[from..start + 1_000]],
+                    start - from,
+                    RunOptions::default(),
+                    None,
+                )
+                .expect("clean window");
+            PointMetrics::from(&r)
+        };
+        let slot = TraceSlot::default();
+        let positions = || {
+            let idle = slot.cursors.lock().expect("unpoisoned");
+            idle.iter().map(|c| (c.from, c.pos)).collect::<Vec<_>>()
+        };
+        // Two passes from record 0: 6 K starts one, 4 K (behind it)
+        // another; each later window continues the furthest one it can.
+        for (start, after) in [
+            (6_000, vec![(0, 6_000)]),
+            (4_000, vec![(0, 6_000), (0, 4_000)]),
+            (5_000, vec![(0, 6_000), (0, 5_000)]),
+            (9_000, vec![(0, 5_000), (0, 9_000)]),
+        ] {
+            assert_eq!(
+                timed(slot.warm_state(recs, &config, 0, start), start),
+                alone(0, start)
+            );
+            assert_eq!(positions(), after, "after the window at {start}");
+        }
+        // A bounded warm-up is its own pass; the oldest idle pass makes
+        // room once the slot holds more than its share.
+        for (i, start) in [3_000, 5_000, 7_000].into_iter().enumerate() {
+            let from = start - 2_000;
+            assert_eq!(
+                timed(slot.warm_state(recs, &config, from, start), start),
+                alone(from, start)
+            );
+            assert_eq!(positions().len(), (3 + i).min(CURSORS_PER_TRACE));
+        }
+        assert_eq!(
+            positions()[0],
+            (0, 9_000),
+            "the pass from 0 at 5 K was oldest"
+        );
+        // A panic mid-advance (here: records missing from the trace)
+        // drops the cursor it took instead of returning it half-advanced.
+        let short = &recs[..9_200];
+        let advanced = catch_unwind(AssertUnwindSafe(|| {
+            slot.warm_state(short, &config, 0, 9_500)
+        }));
+        assert!(advanced.is_err());
+        assert!(!positions().contains(&(0, 9_000)));
+        assert_eq!(positions().len(), CURSORS_PER_TRACE - 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::supervise::SupervisePolicy;
 use s64v_core::fingerprint::{Fingerprint, StableHasher};
-use s64v_core::{ChaosPlan, FaultPlan, SystemConfig};
+use s64v_core::{ChaosPlan, CpiStack, FaultPlan, RunResult, SystemConfig};
 use s64v_workloads::SuiteKind;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -106,7 +106,9 @@ pub enum WorkUnit {
     /// `records` is the *trace length*), functionally fast-forwards the
     /// `warmup` records before `start`, then times `[start, start+len)`.
     /// Windows of one plan are ordinary independent points — fingerprinted,
-    /// cached and scheduled across the worker pool like any other.
+    /// cached and scheduled across the worker pool like any other. Windows
+    /// whose warm-up starts at the same record share one functional pass
+    /// in the engine, with results identical to warming each alone.
     SampledWindow {
         /// Suite the program belongs to.
         suite: SuiteKind,
@@ -228,6 +230,39 @@ pub struct PointMetrics {
     /// Whether model and reference did identical architectural work
     /// ([`WorkUnit::Verify`] points; else `true`).
     pub same_work: bool,
+}
+
+/// Flattens a [`RunResult`] into the cacheable metric set.
+impl From<&RunResult> for PointMetrics {
+    fn from(r: &RunResult) -> Self {
+        let pair = |ratio: s64v_stats::Ratio| (ratio.numerator(), ratio.denominator());
+        let mut stalls = [0u64; 7];
+        let mut cpi = CpiStack::default();
+        for c in &r.core_stats {
+            for (slot, n) in stalls.iter_mut().zip(c.stalls()) {
+                *slot += n;
+            }
+            cpi.merge(&c.cpi());
+        }
+        PointMetrics {
+            cycles: r.cycles,
+            committed: r.committed,
+            l1i: pair(r.l1i_miss_ratio()),
+            l1d: pair(r.l1d_miss_ratio()),
+            l2_all: pair(r.l2_all_miss_ratio()),
+            l2_demand: pair(r.l2_demand_miss_ratio()),
+            mispredict: pair(r.mispredict_ratio()),
+            prefetches: r.prefetches_issued(),
+            move_outs: r.move_outs(),
+            bus_busy_cycles: r.bus_busy_cycles,
+            bus_transactions: r.bus_transactions,
+            mean_load_latency: r.mean_load_latency(),
+            stalls,
+            cpi: cpi.cells,
+            reference_cycles: 0,
+            same_work: true,
+        }
+    }
 }
 
 impl PointMetrics {

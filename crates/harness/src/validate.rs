@@ -61,9 +61,12 @@ pub const DEFAULT_TOLERANCE: f64 = 0.02;
 /// (SMARTS-style full functional warming; this model's workloads do not
 /// saturate cache state short of their full history, so bounded warm-up
 /// is measurably biased — the `--under-warm` control demonstrates the
-/// gate catching exactly that). Sparse plans (window ≪ period, bounded
-/// warm-up) trade coverage for speed on long traces and report their
-/// honest confidence intervals.
+/// gate catching exactly that). Full warming costs about one trace
+/// replay per plan and worker, not one per window: every window's
+/// warm-up starts at record 0, so the engine carries a functional pass
+/// from window to window and clones it at each start. Sparse plans (window ≪ period, bounded warm-up) trade
+/// coverage for speed on long traces and report their honest confidence
+/// intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleOpts {
     /// Target number of detailed windows over the timed region.
@@ -81,9 +84,11 @@ impl SampleOpts {
         let windows = env_usize("S64V_SAMPLE_WINDOWS", 10).max(2);
         let window = env_usize("S64V_SAMPLE_WINDOW", (o.records / windows).max(2_000)).max(1);
         // Default warm-up reaches past record 0 from every window start:
-        // full functional warming, the unbiased (and checkpoint-free)
-        // SMARTS regime. See the type docs for why bounded warm-up is
-        // not the default.
+        // full functional warming, the unbiased SMARTS regime. Every
+        // window's warm-up then starts at record 0, so the engine serves
+        // the plan from functional passes it carries from window to
+        // window, cloned at each window start. See the type docs for why
+        // bounded warm-up is not the default.
         let warmup = env_usize("S64V_SAMPLE_WARMUP", o.warmup + o.records);
         SampleOpts {
             windows,

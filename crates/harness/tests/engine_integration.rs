@@ -1,10 +1,12 @@
 //! End-to-end tests of the campaign engine's contract: determinism
 //! across thread counts, resume-from-cache equivalence, fingerprint
-//! sensitivity, and per-point failure isolation.
+//! sensitivity, per-point failure isolation, and sampled windows that
+//! share one functional pass matching windows warmed alone.
 
-use s64v_core::{program_seed, SystemConfig};
-use s64v_harness::{run_campaign, CampaignSpec, SimPoint, WorkUnit};
-use s64v_workloads::SuiteKind;
+use s64v_core::{program_seed, PerformanceModel, RunOptions, SystemConfig};
+use s64v_harness::{run_campaign, CampaignSpec, PointMetrics, SimPoint, WorkUnit};
+use s64v_workloads::{Suite, SuiteKind};
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// A small but non-trivial point set: two configurations over a few
@@ -142,4 +144,116 @@ fn panicking_point_fails_alone() {
     assert_eq!(fixed.report.cache_hits, points.len() - 1);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Trace length of the sampled plans below: 14 K records before the
+/// first window, then four 2 K-record windows tiling the rest.
+const PLAN_TRACE: usize = 22_000;
+
+/// The windows of sampled plans over three workloads, each plan's
+/// windows warmed from record 0 (the validation geometry), plus a
+/// bounded-warm plan (3 K records before each window) over the first
+/// workload's trace. Returned per plan, windows in trace order.
+fn sampled_plans() -> Vec<Vec<SimPoint>> {
+    let window = |suite, index, name, start, warmup| SimPoint {
+        config: SystemConfig::sparc64_v(),
+        work: WorkUnit::SampledWindow {
+            suite,
+            index,
+            start,
+            len: 2_000,
+        },
+        records: PLAN_TRACE,
+        warmup,
+        seed: program_seed(42, name),
+    };
+    let starts = || (0..4).map(|k| 14_000 + 2_000 * k);
+    let mut plans: Vec<Vec<SimPoint>> = [
+        (SuiteKind::SpecInt95, 0, "go"),
+        (SuiteKind::SpecInt95, 1, "m88ksim"),
+        (SuiteKind::SpecFp95, 0, "tomcatv"),
+    ]
+    .into_iter()
+    .map(|(suite, index, name)| {
+        starts()
+            .map(|start| window(suite, index, name, start, PLAN_TRACE))
+            .collect()
+    })
+    .collect();
+    plans.push(
+        starts()
+            .map(|start| window(SuiteKind::SpecInt95, 0, "go", start, 3_000))
+            .collect(),
+    );
+    plans
+}
+
+/// A window run alone on a fresh model: its own warm-up replayed from
+/// `start - min(warmup, start)`, then the window timed.
+fn fresh_window(p: &SimPoint) -> PointMetrics {
+    let WorkUnit::SampledWindow {
+        suite,
+        index,
+        start,
+        len,
+    } = p.work
+    else {
+        unreachable!("sampled plans hold only windows")
+    };
+    let trace = Suite::preset(suite).programs()[index].generate(p.records, p.seed);
+    let from = start - p.warmup.min(start);
+    let (r, _) = PerformanceModel::new(p.config.clone())
+        .try_run(
+            &[&trace.records()[from..start + len]],
+            start - from,
+            RunOptions::default(),
+            None,
+        )
+        .expect("clean window");
+    PointMetrics::from(&r)
+}
+
+#[test]
+fn shared_warm_pass_matches_windows_warmed_alone() {
+    let plans = sampled_plans();
+    let expected: HashMap<_, _> = plans
+        .iter()
+        .flatten()
+        .map(|p| (p.fingerprint(), fresh_window(p)))
+        .collect();
+    let forward: Vec<SimPoint> = plans.iter().flatten().cloned().collect();
+    let reversed: Vec<SimPoint> = forward.iter().rev().cloned().collect();
+    // Window k of every plan before window k + 1 of any: each plan's
+    // cursor is continued between visits to the others.
+    let interleaved: Vec<SimPoint> = (0..4)
+        .flat_map(|k| plans.iter().map(move |plan| plan[k].clone()))
+        .collect();
+    let mut runs = Vec::new();
+    for (name, order) in [
+        ("forward", &forward),
+        ("reversed", &reversed),
+        ("interleaved", &interleaved),
+    ] {
+        for threads in [1, 4] {
+            runs.push((
+                format!("{name}/{threads}"),
+                spec(order.clone(), threads, None),
+            ));
+        }
+    }
+    runs.push((
+        "interleaved/checked".into(),
+        spec(interleaved.clone(), 2, None).with_checked(),
+    ));
+    for (name, campaign) in runs {
+        let outcome = run_campaign(&campaign, None).expect("run");
+        for (p, o) in campaign.points.iter().zip(&outcome.outcomes) {
+            assert_eq!(
+                o.metrics(),
+                Some(&expected[&p.fingerprint()]),
+                "{name}: {} differs from the window warmed alone",
+                p.label()
+            );
+        }
+    }
 }

@@ -125,7 +125,7 @@ impl std::fmt::Display for MemSnapshot {
 /// enough out that the request never completes within any realistic run.
 const DROPPED_FILL_READY: u64 = u64::MAX >> 2;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CoreMem {
     l1i: Cache,
     l1d: Cache,
@@ -221,6 +221,29 @@ pub struct MemorySystem {
     /// traffic; cleared and sampled around each primary-miss path. Pure
     /// metadata — never read by any timing decision.
     bus_queued: bool,
+}
+
+/// A clone copies every cache set, TLB, prefetcher stream, MSHR, bus,
+/// directory entry and warm memo, so it continues exactly as the
+/// original would. It carries no probe: probes attach to the system a
+/// run times, never to the functional state warming builds (see
+/// `s64v_core::model::WarmState`).
+impl Clone for MemorySystem {
+    fn clone(&self) -> Self {
+        MemorySystem {
+            cfg: self.cfg.clone(),
+            cores: self.cores.clone(),
+            bus: self.bus.clone(),
+            boards: self.boards.clone(),
+            dram: self.dram.clone(),
+            dir: self.dir.clone(),
+            smp: self.smp,
+            drop_fill: self.drop_fill.clone(),
+            probe: None,
+            warm_epoch: self.warm_epoch,
+            bus_queued: self.bus_queued,
+        }
+    }
 }
 
 impl MemorySystem {

@@ -96,10 +96,11 @@ rm -rf "$EXPLORE_SCRATCH"
 echo "== sampled-simulation accuracy smoke (gate + golden + negative control)"
 # A reduced-size `campaign validate` A/B at the committed smoke geometry
 # (small timed region, production-depth functional warm, three windows
-# tiling it). Three things must hold: the gate passes and its JSON
+# tiling it). Four things must hold: the gate passes and its JSON
 # report is byte-identical to specs/ci_sampling.golden.json (the
 # assessment is a deterministic function of sizes, seed and geometry);
-# every per-workload aggregate .sampled.cpi.json validates as a
+# a one-worker run into a fresh cache gives the same bytes; every
+# per-workload aggregate .sampled.cpi.json validates as a
 # first-class artifact; and the --under-warm negative control FAILS —
 # proving the gate still detects insufficient warming, not just that
 # the happy path stays green. The second run shares the cache, so the
@@ -114,6 +115,15 @@ cargo run --release -p s64v-harness --bin campaign -- \
     --out "$SAMPLING_SCRATCH/report.json" \
     --cache-dir "$SAMPLING_SCRATCH/cache" --quiet > /dev/null
 diff specs/ci_sampling.golden.json "$SAMPLING_SCRATCH/report.json"
+# The same report from one worker into a fresh cache: windows that share
+# their plan's functional pass must not depend on how workers interleave.
+S64V_RECORDS=45000 S64V_WARMUP=2000000 S64V_SEED=42 \
+S64V_RESULTS_DIR="$SAMPLING_SCRATCH/results-1" \
+cargo run --release -p s64v-harness --bin campaign -- \
+    validate --windows 3 --window 15000 --threads 1 \
+    --out "$SAMPLING_SCRATCH/report-1.json" \
+    --cache-dir "$SAMPLING_SCRATCH/cache-1" --quiet > /dev/null
+diff specs/ci_sampling.golden.json "$SAMPLING_SCRATCH/report-1.json"
 set --
 for artifact in "$SAMPLING_SCRATCH"/cache/*.sampled.cpi.json; do
     set -- "$@" --check-artifact "$artifact"
